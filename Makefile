@@ -17,7 +17,8 @@ test:
 # zero-cost-when-disabled bound, and the verification-service smoke
 # (daemon round-trip with a forced worker kill + torn-tail recovery),
 # the telemetry-plane smoke (ledger exactness, trace stitching, torn
-# frame drill), and the committed-benchmark trajectory table.
+# frame drill), the committed-benchmark trajectory table, and the repo
+# benchmark's smoke run (every perfbench workload at a tiny size).
 check:
 	dune build && dune runtest && \
 	dune exec bench/modarith/main.exe -- --smoke -o /dev/null && \
@@ -28,7 +29,8 @@ check:
 	dune exec bench/serve/main.exe -- --smoke && \
 	dune exec bench/scale/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/telemetry/main.exe -- --smoke && \
-	dune exec bin/ids_inspect.exe -- --bench-summary .
+	dune exec bin/ids_inspect.exe -- --bench-summary . && \
+	python3 perfbench/smoke_test.py
 
 # Same suite with Monte Carlo trial budgets cut down via IDS_TRIALS_SCALE.
 test-fast:

@@ -92,7 +92,10 @@ let cmd =
     Arg.(value & opt (some string) None & info [ "log" ] ~docv:"PATH" ~doc)
   in
   let no_sync_t =
-    let doc = "Skip the per-record fsync (faster, loses the power-failure guarantee)." in
+    let doc =
+      "Skip the run log's fsync (one per event-loop pass; faster, loses the power-failure \
+       guarantee)."
+    in
     Arg.(value & flag & info [ "no-sync" ] ~doc)
   in
   let verbose_t =

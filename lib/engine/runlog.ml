@@ -101,9 +101,10 @@ let log ?fault ?metrics ~protocol ~n ~prover e =
    The header's byte length lets recovery know exactly where the record
    should end without trusting the payload's content; [Framed.create] runs
    that recovery on open (truncating a torn tail in place) and every
-   [Framed.write] is a single [write] syscall followed by [fsync] (unless
-   [~sync:false]), so the on-disk prefix at any crash point is a whole
-   number of records plus at most one torn tail. *)
+   [Framed.write_batch] appends its frames back to back through one
+   [write] followed by one [fsync] (unless [~sync:false]). A crash can cut
+   that append at any byte, and every prefix of concatenated frames is a
+   whole number of records plus at most one torn tail. *)
 module Framed = struct
   let magic = "=IDS "
 
@@ -113,7 +114,9 @@ module Framed = struct
      offset just past the last whole frame, and the reason the walk stopped
      early (if it did). A bad header mid-file is reported the same way as a
      truncated tail — the fsync'd append-only discipline means everything
-     after the first framing violation is untrustworthy. *)
+     after the first framing violation is untrustworthy. The length header
+     is untrusted too: one that overflows an [int], or claims more bytes
+     than the file holds, is a torn tail like any other. *)
   let scan s offset =
     let len = String.length s in
     let ml = String.length magic in
@@ -130,13 +133,15 @@ module Framed = struct
           else if !h >= len then torn "truncated frame header"
           else if s.[!h] <> '\n' then torn "malformed frame header"
           else
-            let plen = int_of_string (String.sub s (o + ml) (!h - (o + ml))) in
             let pstart = !h + 1 in
-            let pend = pstart + plen in
-            if pend > len then torn "truncated payload"
-            else if pend = len then torn "truncated payload terminator"
-            else if s.[pend] <> '\n' then torn "missing payload terminator"
-            else go (pend + 1) (String.sub s pstart plen :: acc)
+            match int_of_string_opt (String.sub s (o + ml) (!h - (o + ml))) with
+            | None -> torn "frame length out of range"
+            | Some plen when plen > len - pstart -> torn "truncated payload"
+            | Some plen when plen = len - pstart -> torn "truncated payload terminator"
+            | Some plen ->
+              let pend = pstart + plen in
+              if s.[pend] <> '\n' then torn "missing payload terminator"
+              else go (pend + 1) (String.sub s pstart plen :: acc)
         end
     in
     go offset []
@@ -149,30 +154,52 @@ module Framed = struct
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
+  (* The whole file through [fd], from offset 0. *)
+  let read_fd fd =
+    let buf = Buffer.create 4096 in
+    let chunk = Bytes.create 65536 in
+    let rec go () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    in
+    go ()
+
   let create ?(sync = true) path =
-    match
-      let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-      let contents = try read_all path with Sys_error _ -> "" in
-      let _, good_end, _torn = scan contents 0 in
-      let dropped = String.length contents - good_end in
-      if dropped > 0 then Unix.ftruncate fd good_end;
-      ignore (Unix.lseek fd good_end Unix.SEEK_SET : int);
-      { fd; wpath = path; sync; wtruncated = dropped }
-    with
-    | w -> Ok w
+    match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 with
     | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-    | exception Sys_error msg -> Error msg
+    | fd -> (
+      match
+        let contents = read_fd fd in
+        let _, good_end, _torn = scan contents 0 in
+        let dropped = String.length contents - good_end in
+        if dropped > 0 then Unix.ftruncate fd good_end;
+        ignore (Unix.lseek fd good_end Unix.SEEK_SET : int);
+        { fd; wpath = path; sync; wtruncated = dropped }
+      with
+      | w -> Ok w
+      | exception e ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        (match e with
+        | Unix.Unix_error (e, _, _) -> Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+        | e -> raise e))
 
   let truncated w = w.wtruncated
   let path w = w.wpath
 
-  let write w payload =
-    let line = frame payload in
-    let len = String.length line in
-    let rec put o = if o < len then put (o + Unix.write_substring w.fd line o (len - o)) in
-    put 0;
-    if w.sync then Unix.fsync w.fd
+  let write_batch w payloads =
+    if payloads <> [] then begin
+      let data = String.concat "" (List.map frame payloads) in
+      let len = String.length data in
+      let rec put o = if o < len then put (o + Unix.write_substring w.fd data o (len - o)) in
+      put 0;
+      if w.sync then Unix.fsync w.fd
+    end
+
+  let write w payload = write_batch w [ payload ]
 
   let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
 end

@@ -54,10 +54,15 @@ val close : unit -> unit
 
     The serving daemon ([ids_serve]) appends its records through this
     writer instead of the plain JSONL sink: each record is framed as
-    [=IDS <payload-bytes>\n<payload>\n] and (by default) [fsync]'d, so a
-    [kill -9] mid-write leaves a whole-record prefix plus at most one torn
-    tail, which {!Framed.create} detects and truncates on the next open.
-    {!read_file} / {!read_file_lenient} auto-detect the framing. *)
+    [=IDS <payload-bytes>\n<payload>\n]. {!Framed.write_batch} appends a
+    group of records as one [write] of their concatenated frames followed
+    by (by default) one [fsync], so a [kill -9] mid-write leaves a
+    whole-record prefix plus at most one torn tail, which {!Framed.create}
+    detects and truncates on the next open. The daemon commits every
+    record completed in one event-loop pass as one batch, after handing
+    idle workers their next request and before replying to any of the
+    batch's clients. {!read_file} / {!read_file_lenient} auto-detect the
+    framing. *)
 module Framed : sig
   val magic : string
   (** The record prefix (["=IDS "]); a file starting with it is framed. *)
@@ -69,15 +74,22 @@ module Framed : sig
 
   val create : ?sync:bool -> string -> (writer, string) result
   (** Open [path] for appending, first truncating any torn trailing record
-      (crash recovery). [sync] (default [true]) fsyncs after every write. *)
+      (crash recovery). A length header that overflows an [int] or claims
+      more bytes than the file holds counts as a torn tail. [sync]
+      (default [true]) fsyncs after every {!write_batch}. On [Error] no
+      file descriptor is left open. *)
 
   val truncated : writer -> int
   (** Bytes of torn tail removed by recovery at {!create} time (0 = clean). *)
 
   val path : writer -> string
 
+  val write_batch : writer -> string list -> unit
+  (** Append the payloads' frames, in list order, with one [write] and one
+      [fsync]; [[]] touches nothing. No payload may contain ['\n']. *)
+
   val write : writer -> string -> unit
-  (** Append one framed record (the payload must not contain ['\n']). *)
+  (** [write w p] is [write_batch w [p]]. *)
 
   val close : writer -> unit
 end

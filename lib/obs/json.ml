@@ -8,6 +8,8 @@ type t =
 
 exception Fail of int * string
 
+let max_depth = 256
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -93,11 +95,12 @@ let parse s =
     | Some f -> f
     | None -> fail "malformed number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '{' ->
+      if depth >= max_depth then fail "nesting too deep";
       advance ();
       skip_ws ();
       if peek () = Some '}' then begin
@@ -110,7 +113,7 @@ let parse s =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -124,6 +127,7 @@ let parse s =
         Obj (members [])
       end
     | Some '[' ->
+      if depth >= max_depth then fail "nesting too deep";
       advance ();
       skip_ws ();
       if peek () = Some ']' then begin
@@ -132,7 +136,7 @@ let parse s =
       end
       else begin
         let rec elements acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -152,7 +156,7 @@ let parse s =
     | Some _ -> Num (parse_number ())
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing characters";
     v

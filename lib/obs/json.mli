@@ -13,9 +13,14 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!parse} accepts (256). *)
+
 val parse : string -> (t, string) result
-(** Parse one JSON value; trailing garbage is an error. Errors carry a
-    character offset and a short description. *)
+(** Parse one JSON value; trailing garbage is an error, and so is nesting
+    deeper than {!max_depth} (the parser recurses once per level, and
+    socket input is untrusted). Errors carry a character offset and a
+    short description. *)
 
 val member : string -> t -> t option
 (** First field of that name in an object; [None] on non-objects too. *)

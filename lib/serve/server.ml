@@ -8,6 +8,8 @@ let c_retried = Obs.Counter.make "serve.retried"
 let c_timed_out = Obs.Counter.make "serve.timed_out"
 let c_crashes = Obs.Counter.make "serve.worker_crashes"
 let c_lost = Obs.Counter.make "telemetry.lost_deltas"
+let c_log_records = Obs.Counter.make "serve.log_records"
+let c_log_syncs = Obs.Counter.make "serve.log_syncs"
 let h_queue = Obs.Histo.make "serve.queue_depth"
 let h_latency = Obs.Histo.make "serve.latency_ms"
 
@@ -106,30 +108,45 @@ type pending = { preq : Request.t; pclient : client; pt0 : float; ptr : rtrace }
 (* Monotonic seconds: deadlines must not jump with wall-clock adjustments. *)
 let now () = float_of_int (Obs.now_ns ()) /. 1e9
 
-(* Drain a non-blocking fd into [buf]; return the complete lines plus whether
-   the peer closed. *)
+(* The longest request line a client may send, newline excluded. Real
+   requests are a few hundred bytes; the cap bounds what one client can
+   make the daemon buffer. *)
+let max_request_line = 65_536
+
+(* Drain a non-blocking fd into [buf]: the complete lines, in order, plus
+   the connection's state. At most [max_request_line] bytes are read per
+   call, so one flooding client cannot starve the loop or grow the line
+   list; what is left stays in the socket for the next pass. A line (or
+   an unterminated tail) longer than the cap ends the drain with
+   [`Overflow]. *)
 let drain_lines fd buf =
   let chunk = Bytes.create 8192 in
-  let rec fill () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> true
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      fill ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
-    | exception Unix.Unix_error _ -> true
+  let lines = ref [] in
+  let rec fill budget =
+    if budget <= 0 then `Open
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> `Eof
+      | n ->
+        let data = Bytes.sub_string chunk 0 n in
+        let rec split o =
+          match String.index_from_opt data o '\n' with
+          | Some i ->
+            Buffer.add_substring buf data o (i - o);
+            let too_long = Buffer.length buf > max_request_line in
+            if not too_long then lines := Buffer.contents buf :: !lines;
+            Buffer.clear buf;
+            if too_long then `Overflow else split (i + 1)
+          | None ->
+            Buffer.add_substring buf data o (n - o);
+            if Buffer.length buf > max_request_line then `Overflow else fill (budget - n)
+        in
+        split 0
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `Open
+      | exception Unix.Unix_error _ -> `Eof
   in
-  let eof = fill () in
-  let data = Buffer.contents buf in
-  Buffer.clear buf;
-  let rec split o acc =
-    match String.index_from_opt data o '\n' with
-    | Some i -> split (i + 1) (String.sub data o (i - o) :: acc)
-    | None ->
-      Buffer.add_string buf (String.sub data o (String.length data - o));
-      List.rev acc
-  in
-  (split 0 [], eof)
+  let state = fill max_request_line in
+  (List.rev !lines, state)
 
 let run cfg =
   match Supervisor.validate cfg.sup with
@@ -321,32 +338,60 @@ let run cfg =
             ~ok
         in
 
-        let finish req_id =
-          match Hashtbl.find_opt pending req_id with
-          | None -> ()
-          | Some p ->
-            Hashtbl.remove pending req_id;
-            let resp =
-              match Hashtbl.find_opt resp_by_id req_id with
-              | Some r ->
-                Hashtbl.remove resp_by_id req_id;
-                r
-              | None ->
-                Request.Rejected { id = req_id; reject = Request.Failed "response lost" }
-            in
-            (match (resp, log) with
-            | Request.Estimated { record; _ }, Some lw -> (
-              try Runlog.Framed.write lw record
-              with Unix.Unix_error (e, _, _) ->
-                Printf.eprintf "[ids_serve] run log write failed: %s\n%!"
-                  (Unix.error_message e))
-            | _ -> ());
-            Obs.Histo.observe h_latency (int_of_float ((now () -. p.pt0) *. 1000.));
-            let ok, attempts =
-              match resp with Request.Estimated { attempts; _ } -> (true, attempts) | _ -> (false, 1)
-            in
-            finalize p ~ok ~attempts;
-            respond p.pclient resp
+        (* Group commit: the records of every request completed in one
+           event-loop pass go to the log as one batch (one write, one
+           fsync); only then does any of those clients get its reply, in
+           completion order. *)
+        let log_records = ref 0 and log_syncs = ref 0 in
+        let commit req_ids =
+          let finished =
+            List.filter_map
+              (fun req_id ->
+                match Hashtbl.find_opt pending req_id with
+                | None -> None
+                | Some p ->
+                  Hashtbl.remove pending req_id;
+                  let resp =
+                    match Hashtbl.find_opt resp_by_id req_id with
+                    | Some r ->
+                      Hashtbl.remove resp_by_id req_id;
+                      r
+                    | None ->
+                      Request.Rejected { id = req_id; reject = Request.Failed "response lost" }
+                  in
+                  Some (p, resp))
+              req_ids
+          in
+          let records =
+            List.filter_map
+              (function _, Request.Estimated { record; _ } -> Some record | _ -> None)
+              finished
+          in
+          (match log with
+          | Some lw when records <> [] -> (
+            try
+              Runlog.Framed.write_batch lw records;
+              let k = List.length records in
+              log_records := !log_records + k;
+              Obs.Counter.add c_log_records k;
+              if cfg.log_sync then begin
+                incr log_syncs;
+                Obs.Counter.add c_log_syncs 1
+              end
+            with Unix.Unix_error (e, _, _) ->
+              Printf.eprintf "[ids_serve] run log write failed: %s\n%!" (Unix.error_message e))
+          | _ -> ());
+          List.iter
+            (fun (p, resp) ->
+              Obs.Histo.observe h_latency (int_of_float ((now () -. p.pt0) *. 1000.));
+              let ok, attempts =
+                match resp with
+                | Request.Estimated { attempts; _ } -> (true, attempts)
+                | _ -> (false, 1)
+              in
+              finalize p ~ok ~attempts;
+              respond p.pclient resp)
+            finished
         in
         let reject req_id rej =
           match Hashtbl.find_opt pending req_id with
@@ -357,6 +402,8 @@ let run cfg =
             finalize p ~ok:false ~attempts:1;
             respond p.pclient (Request.Rejected { id = req_id; reject = rej })
         in
+        (* Completions wait for the end of the pass; see [process_all]. *)
+        let completed = ref [] in
         let do_action = function
           | Supervisor.Assign { worker; req; attempt; deadline = _; queued_for } -> (
             match (workers.(worker), Hashtbl.find_opt pending req) with
@@ -389,7 +436,7 @@ let run cfg =
               logf "deadline: killing worker %d (request %s)" worker req;
               Pool.kill w
             | None -> ())
-          | Supervisor.Complete { req; attempts = _ } -> finish req
+          | Supervisor.Complete { req; attempts = _ } -> completed := req :: !completed
           | Supervisor.Reject { req; reject = rej } -> reject req rej
           | Supervisor.Stopped -> stopped := true
         in
@@ -404,6 +451,9 @@ let run cfg =
           d (fun x -> x.timed_out) c_timed_out;
           d (fun x -> x.worker_crashes) c_crashes
         in
+        (* Dispatch before disk: every Assign/Spawn/Kill/Reject of the pass
+           runs first, so a worker that just finished gets its next request
+           before the pass's completions are logged and answered. *)
         let process_all () =
           while not (Queue.is_empty events) do
             let ev = Queue.take events in
@@ -414,7 +464,10 @@ let run cfg =
             if after.accepted > before.accepted then
               Obs.Histo.observe h_queue (Supervisor.queue_depth sup);
             List.iter do_action actions
-          done
+          done;
+          let reqs = List.rev !completed in
+          completed := [];
+          commit reqs
         in
 
         let handle_request_line c line =
@@ -424,7 +477,10 @@ let run cfg =
             match req.Request.op with
             | Request.Ping -> respond c (Request.Pong { id = req.Request.id })
             | Request.Stats fmt ->
-              let service = Supervisor.stats sup in
+              let service =
+                Supervisor.stats sup
+                @ [ ("log_records", !log_records); ("log_syncs", !log_syncs) ]
+              in
               let stats =
                 service
                 @ [ ("telemetry_frames", Telemetry.frames reg);
@@ -456,9 +512,20 @@ let run cfg =
                   post (Supervisor.Submit id)))
         in
         let read_client c =
-          let lines, eof = drain_lines c.cfd c.cbuf in
+          let lines, state = drain_lines c.cfd c.cbuf in
           List.iter (handle_request_line c) lines;
-          if eof then close_client c
+          match state with
+          | `Open -> ()
+          | `Eof -> close_client c
+          | `Overflow ->
+            respond c
+              (Request.Rejected
+                 { id = "";
+                   reject =
+                     Request.Bad_request
+                       (Printf.sprintf "request line longer than %d bytes" max_request_line)
+                 });
+            close_client c
         in
         let accept_clients () =
           let rec go () =

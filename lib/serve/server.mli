@@ -12,8 +12,15 @@
     Instrumentation flows through the {!Ids_obs.Obs} layer (gated by
     [IDS_TRACE] like everything else): counters [serve.accepted],
     [serve.shed], [serve.retried], [serve.timed_out],
-    [serve.worker_crashes]; histograms [serve.queue_depth] (observed per
-    accepted request) and [serve.latency_ms] (per completed request).
+    [serve.worker_crashes], [serve.log_records], [serve.log_syncs];
+    histograms [serve.queue_depth] (observed per accepted request) and
+    [serve.latency_ms] (per completed request). The [stats] reply (every
+    format) carries [log_records] and [log_syncs] whatever [IDS_TRACE]
+    says; their ratio is the number of records per fsync.
+
+    Socket input is bounded: a request line longer than
+    {!max_request_line} bytes is answered [bad_request] and that client
+    is closed; other clients are served as usual.
 
     Drain semantics on SIGTERM/SIGINT: the listening socket closes
     immediately, queued first attempts are rejected [Draining], in-flight
@@ -26,7 +33,13 @@ type config = {
   sup : Supervisor.config;
   chaos : Chaos.spec;  (** Seeded worker-kill injection (chaos runs). *)
   log_path : string;  (** Framed crash-safe run log; [""] disables. *)
-  log_sync : bool;  (** fsync each record (the crash-safety guarantee). *)
+  log_sync : bool;
+      (** fsync the run log (the crash-safety guarantee): one fsync per
+          event-loop pass, always before the reply, dispatch before disk.
+          Each pass first hands idle workers their next requests, then
+          appends every record completed in the pass as one
+          {!Ids_engine.Runlog.Framed.write_batch} (one write, one fsync),
+          then answers those clients in completion order. *)
   verbose : bool;
   telemetry : bool;
       (** Run workers instrumented: every Estimated response carries a
@@ -41,6 +54,10 @@ type config = {
           server plus every worker's shipped compute spans, stitched under
           per-request trace ids. *)
 }
+
+val max_request_line : int
+(** The longest request line the daemon accepts, newline excluded
+    (64 KiB; real requests are a few hundred bytes). *)
 
 val default : config
 (** Socket [ids_serve.sock], log [ids_serve_runs.jsonl], {!Supervisor.default},

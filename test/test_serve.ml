@@ -348,6 +348,107 @@ let test_framed_bad_line_vs_torn () =
         checki "recovery keeps intact frames" 0 (Runlog.Framed.truncated w);
         Runlog.Framed.close w)
 
+(* Length headers are untrusted bytes: one too long for an [int] or one
+   claiming more than the file holds must read as a torn tail, never raise
+   out of [create]; and a batch cut at any byte must recover to the last
+   whole frame. *)
+let test_framed_hostile_headers () =
+  let good = [ record_line 0; record_line 1 ] in
+  let good_len = String.concat "" (List.map Runlog.Framed.frame good) |> String.length in
+  let tails =
+    [ ("20-digit length", "=IDS 12345678901234567890\n{}\n");
+      ("max_int length", Printf.sprintf "=IDS %d\n{}\n" max_int);
+      ("max_int - 1 length", Printf.sprintf "=IDS %d\n{}\n" (max_int - 1))
+    ]
+  in
+  List.iter
+    (fun (label, tail) ->
+      with_tmp (fun path ->
+          write_framed path good;
+          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+          output_string oc tail;
+          close_out oc;
+          (match Runlog.read_file_lenient path with
+          | Error e -> Alcotest.failf "%s: read: %s" label e
+          | Ok { Runlog.records; tail; good_end } ->
+            checki (label ^ ": good prefix") 2 (List.length records);
+            checki (label ^ ": good_end") good_len good_end;
+            checkb (label ^ ": torn tail reported") true
+              (match tail with Some (Runlog.Torn_tail _) -> true | _ -> false));
+          (match Runlog.Framed.create path with
+          | Error e -> Alcotest.failf "%s: create: %s" label e
+          | Ok w ->
+            checki (label ^ ": truncated to the last whole frame") (String.length tail)
+              (Runlog.Framed.truncated w);
+            Runlog.Framed.close w);
+          checki (label ^ ": file size after recovery") good_len (Unix.stat path).Unix.st_size))
+    tails;
+  (* A two-frame batch cut at every byte recovers to its whole frames. *)
+  let batch = String.concat "" (List.map Runlog.Framed.frame [ record_line 2; record_line 3 ]) in
+  let first_frame = String.length (Runlog.Framed.frame (record_line 2)) in
+  for cut = 0 to String.length batch do
+    with_tmp (fun path ->
+        let oc = open_out_bin path in
+        output_string oc (String.sub batch 0 cut);
+        close_out oc;
+        match Runlog.Framed.create path with
+        | Error e -> Alcotest.failf "cut %d: create: %s" cut e
+        | Ok w ->
+          Runlog.Framed.close w;
+          let want = if cut = String.length batch then 2 else if cut >= first_frame then 1 else 0 in
+          match Runlog.read_file path with
+          | Ok records -> checki (Printf.sprintf "cut %d: whole frames kept" cut) want (List.length records)
+          | Error e -> Alcotest.failf "cut %d: not clean after recovery: %s" cut e)
+  done
+
+let file_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let with_writer path f =
+  match Runlog.Framed.create path with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok w -> Fun.protect ~finally:(fun () -> Runlog.Framed.close w) (fun () -> f w)
+
+let test_framed_write_batch () =
+  with_tmp (fun path ->
+      with_writer path (fun w -> Runlog.Framed.write_batch w []);
+      checki "empty batch writes nothing" 0 (String.length (file_bytes path)));
+  let payloads = List.init 5 record_line in
+  with_tmp (fun path ->
+      with_writer path (fun w ->
+          Runlog.Framed.write_batch w [ List.hd payloads ];
+          Runlog.Framed.write_batch w (List.tl payloads));
+      match Runlog.read_file path with
+      | Error e -> Alcotest.failf "read: %s" e
+      | Ok records ->
+        checkb "k payloads round-trip in order" true
+          (List.map (fun (r : Runlog.record) -> r.Runlog.trials) records = [ 1; 2; 3; 4; 5 ]));
+  with_tmp (fun single ->
+      with_tmp (fun batch ->
+          with_writer single (fun w -> List.iter (Runlog.Framed.write w) payloads);
+          with_writer batch (fun w -> List.iter (fun p -> Runlog.Framed.write_batch w [ p ]) payloads);
+          check Alcotest.string "write = one-element batch, byte for byte" (file_bytes single)
+            (file_bytes batch);
+          check Alcotest.string "bytes are the concatenated frames"
+            (String.concat "" (List.map Runlog.Framed.frame payloads))
+            (file_bytes batch)))
+
+(* Socket input is untrusted: nesting past the parser's depth limit is an
+   error, not unbounded recursion; the limit itself still parses. *)
+let test_json_depth_limit () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  let module Json = Ids_obs.Json in
+  checkb "depth limit parses" true (Result.is_ok (Json.parse (nest Json.max_depth)));
+  checkb "one past the limit is an error" true
+    (Result.is_error (Json.parse (nest (Json.max_depth + 1))));
+  checkb "an unterminated deep document is an error" true
+    (Result.is_error (Json.parse (String.make 1_000_000 '[')));
+  checkb "deep objects are an error" true
+    (Result.is_error (Json.parse (String.concat "" (List.init 1000 (fun _ -> {|{"a":|})))));
+  checkb "deep request line is a codec error" true
+    (Result.is_error (Request.of_line ({|{"op":"ping","id":|} ^ nest 100_000 ^ "}")))
+
 (* --- BENCH_serve.json shape ------------------------------------------------------- *)
 
 let test_bench_serve_shape () =
@@ -418,6 +519,10 @@ let suite =
           test_framed_torn_tail_recovery;
         Alcotest.test_case "framed log: corruption is not a torn tail" `Quick
           test_framed_bad_line_vs_torn;
+        Alcotest.test_case "framed log: hostile length headers" `Quick
+          test_framed_hostile_headers;
+        Alcotest.test_case "framed log: write_batch" `Quick test_framed_write_batch;
+        Alcotest.test_case "json: nesting depth limit" `Quick test_json_depth_limit;
         Alcotest.test_case "BENCH_serve.json shape" `Quick test_bench_serve_shape
       ] )
   ]

@@ -10,6 +10,10 @@
 module Request = Ids_serve.Request
 module Catalog = Ids_serve.Catalog
 module Pool = Ids_serve.Pool
+module Server = Ids_serve.Server
+module Client = Ids_serve.Client
+module Supervisor = Ids_serve.Supervisor
+module Runlog = Ids_engine.Runlog
 module Fault = Ids_network.Fault
 
 let check = Alcotest.check
@@ -157,6 +161,205 @@ let test_graceful_eof_flush () =
   ignore (Unix.waitpid [] (Pool.pid w));
   Pool.shutdown w
 
+(* --- the daemon end to end -------------------------------------------------------- *)
+
+exception Timed_out
+
+(* Fail instead of hanging when the daemon stops answering. *)
+let with_alarm secs f =
+  let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out)) in
+  ignore (Unix.alarm secs);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm prev)
+    f
+
+(* Run [Server.run] in a forked child on a private socket and log, hand
+   [f] the config and a [stop] that SIGTERMs the daemon and requires a
+   clean drain. A failing test still kills and reaps the daemon. *)
+let with_daemon ~workers f =
+  let dir = Filename.temp_file "ids_serve_fork" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let cfg =
+    { Server.default with
+      socket = Filename.concat dir "serve.sock";
+      log_path = Filename.concat dir "runs.log";
+      sup = { Supervisor.default with Supervisor.workers }
+    }
+  in
+  flush_all ();
+  let pid =
+    match Unix.fork () with
+    | 0 -> (
+      match Server.run cfg with
+      | Ok () -> Unix._exit 0
+      | Error e ->
+        prerr_endline ("daemon: " ^ e);
+        Unix._exit 1)
+    | pid -> pid
+  in
+  let running = ref true in
+  let stop () =
+    running := false;
+    Unix.kill pid Sys.sigterm;
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if !running then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> with_alarm 120 (fun () -> f cfg stop))
+
+let connect cfg =
+  match Client.connect ~wait:10. cfg.Server.socket with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "connect: %s" e
+
+let parse_record label r =
+  match Runlog.of_line r with Ok r -> r | Error e -> Alcotest.failf "%s: record: %s" label e
+
+let oracle ~trials =
+  match Catalog.execute_request ~protocol:"sym_dmam" ~strategy:"honest" ~trials ~fault:Fault.none with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "in-process oracle failed: %s" e
+
+(* The group-commit invariant: with 8 requests in flight on 2 workers,
+   every Estimated reply finds its record already in the log, and at drain
+   the log holds exactly the served records, each once, in the order the
+   replies arrived (one connection, so arrival order is completion order). *)
+let test_reply_after_logged () =
+  with_daemon ~workers:2 (fun cfg stop ->
+      let c = connect cfg in
+      let trials i = 2 + i in
+      for i = 0 to 7 do
+        match
+          Client.send c
+            (Request.make_estimate ~id:(Printf.sprintf "g%d" i) ~protocol:"sym_dmam"
+               ~strategy:"honest" ~trials:(trials i) ())
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "send: %s" e
+      done;
+      let served =
+        List.init 8 (fun _ ->
+            match Client.recv c with
+            | Ok (Request.Estimated { id; record; _ }) ->
+              let logged =
+                match Runlog.read_file_lenient cfg.Server.log_path with
+                | Ok { Runlog.records; _ } -> records
+                | Error e -> Alcotest.failf "log read: %s" e
+              in
+              checkb (id ^ ": record logged before the reply") true
+                (List.mem (parse_record id record) logged);
+              let i = int_of_string (String.sub id 1 (String.length id - 1)) in
+              check Alcotest.string (id ^ ": record equals the in-process engine")
+                (oracle ~trials:(trials i)) record;
+              record
+            | Ok r -> Alcotest.failf "unexpected response %s" (Request.response_to_json r)
+            | Error e -> Alcotest.failf "recv: %s" e)
+      in
+      (* The group-commit counters, in every stats format. *)
+      let stats fmt =
+        match Client.request c { Request.id = "s"; op = Request.Stats fmt; trace = None } with
+        | Ok (Request.Stats_reply { stats; body; _ }) -> (stats, Option.value body ~default:"")
+        | Ok r -> Alcotest.failf "stats: %s" (Request.response_to_json r)
+        | Error e -> Alcotest.failf "stats: %s" e
+      in
+      let basic, _ = stats Request.Basic in
+      let get k = Option.value (List.assoc_opt k basic) ~default:(-1) in
+      Alcotest.(check int) "log_records counts every record" 8 (get "log_records");
+      checkb "one fsync per batch, at most one per record" true
+        (get "log_syncs" >= 1 && get "log_syncs" <= 8);
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+        go 0
+      in
+      let _, json = stats Request.Json_full in
+      checkb "JSON stats carry log_records" true (contains json {|"log_records":8|});
+      checkb "JSON stats carry log_syncs" true (contains json {|"log_syncs":|});
+      let _, prom = stats Request.Prom in
+      checkb "Prometheus stats carry both" true
+        (contains prom {|event="log_records"} 8|} && contains prom {|event="log_syncs"}|});
+      Client.close c;
+      stop ();
+      match Runlog.read_file cfg.Server.log_path with
+      | Error e -> Alcotest.failf "log after drain: %s" e
+      | Ok records ->
+        checkb "log = served records, each once, in completion order" true
+          (records = List.map (parse_record "served") served))
+
+let read_line_within fd secs =
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] secs with
+    | [], _, _ -> Alcotest.fail "no reply to the oversized line"
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n -> (
+        Buffer.add_subbytes buf chunk 0 n;
+        match String.index_opt (Buffer.contents buf) '\n' with
+        | Some i -> String.sub (Buffer.contents buf) 0 i
+        | None -> go ()))
+  in
+  go ()
+
+(* One client streams a line that never ends while another is served: the
+   daemon answers the streamer Bad_request once the line passes the cap,
+   closes it, and keeps serving everyone else. *)
+let test_endless_line_cut () =
+  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_pipe)
+    (fun () ->
+      with_daemon ~workers:1 (fun cfg stop ->
+          (* Connecting [b] first also waits out the daemon's startup. *)
+          let b = connect cfg in
+          let served label =
+            match
+              Client.request b
+                (Request.make_estimate ~id:label ~protocol:"sym_dmam" ~strategy:"honest"
+                   ~trials:3 ())
+            with
+            | Ok (Request.Estimated { record; _ }) ->
+              check Alcotest.string (label ^ ": served") (oracle ~trials:3) record
+            | Ok r -> Alcotest.failf "%s: %s" label (Request.response_to_json r)
+            | Error e -> Alcotest.failf "%s: %s" label e
+          in
+          let a = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect a (Unix.ADDR_UNIX cfg.Server.socket);
+              let chunk = String.make 4096 'x' in
+              ignore (Unix.write_substring a chunk 0 (String.length chunk) : int);
+              served "while-streaming";
+              let rec flood sent =
+                if sent > 64 * 1024 * 1024 then Alcotest.fail "the endless line was never cut"
+                else
+                  match Unix.write_substring a chunk 0 (String.length chunk) with
+                  | n -> flood (sent + n)
+                  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+              in
+              flood 0;
+              match Request.response_of_line (read_line_within a 30.) with
+              | Ok (Request.Rejected { reject = Request.Bad_request _; _ }) -> ()
+              | Ok r -> Alcotest.failf "streamer got %s" (Request.response_to_json r)
+              | Error e -> Alcotest.failf "streamer reply: %s" e);
+          served "after-cut";
+          Client.close b;
+          stop ()))
+
 let () =
   Alcotest.run "ids-serve-fork"
     [ ( "serve-fork",
@@ -164,6 +367,10 @@ let () =
             test_forked_worker_retry_bit_identical;
           Alcotest.test_case "torn frame: counted gap, clean retry" `Quick
             test_torn_frame_lost_delta_clean_retry;
-          Alcotest.test_case "graceful EOF ships a Flush frame" `Quick test_graceful_eof_flush
+          Alcotest.test_case "graceful EOF ships a Flush frame" `Quick test_graceful_eof_flush;
+          Alcotest.test_case "daemon: every reply follows its logged record" `Quick
+            test_reply_after_logged;
+          Alcotest.test_case "daemon: an endless request line is cut" `Quick
+            test_endless_line_cut
         ] )
     ]
