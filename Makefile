@@ -17,10 +17,13 @@ test:
 # zero-cost-when-disabled bound, and the verification-service smoke
 # (daemon round-trip with a forced worker kill + torn-tail recovery),
 # the telemetry-plane smoke (ledger exactness, trace stitching, torn
-# frame drill), the committed-benchmark trajectory table, and the repo
-# benchmark's smoke run (every perfbench workload at a tiny size).
+# frame drill), the committed-benchmark trajectory table, the repo
+# benchmark's smoke run (every perfbench workload at a tiny size), and the
+# three GNI experiments at a quarter budget on the default domain count
+# (two workers racing to build an instance's candidate set).
 check:
 	dune build && dune runtest && \
+	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e5 e9 e11 && \
 	dune exec bench/modarith/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/setup/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/frontier/main.exe -- --smoke -o /dev/null && \

@@ -208,7 +208,7 @@ let e5 () =
       in
       Printf.printf "%3d | %9.3f %9.3f | %9.3f %9.3f | %12.0f %9d\n" n (rate_of yes_est)
         (Gni.yes_rate_bound params) (rate_of no_est) (Gni.no_rate_bound params) yes_est.Engine.mean_bits
-        params.Gni.q)
+        params.Gs.q)
     [ 6; 7 ];
   print_endline "\nFull amplified protocol (t = 400 repetitions, per-node counting):";
   let yes = Gni.yes_instance rng 6 and no = Gni.no_instance rng 6 in
@@ -224,7 +224,7 @@ let e5 () =
   Printf.printf "  YES verdicts: %d/%d accept (need > 2/3)    NO verdicts: %d/%d accept (need < 1/3)\n"
     yes_full.Engine.accepts yes_full.Engine.trials no_full.Engine.accepts no_full.Engine.trials;
   Printf.printf "  total bits/node: %.0f (= t x O(n log n); threshold %d/%d)\n" yes_full.Engine.mean_bits
-    params.Gni.threshold params.Gni.repetitions
+    params.Gs.threshold params.Gs.repetitions
 
 (* --- E6: Theorem 3.2 — the linear hash family ------------------------------------- *)
 
@@ -374,8 +374,8 @@ let e9 () =
   Printf.printf "instances use a SYMMETRIC G_0 (|Aut| = %d) — outside Gni's restriction\n"
     (List.length (Lazy.force yes.Gni_full.aut0));
   Printf.printf "candidate-set sizes: YES |S| = %d (= 2 x 6!)   NO |S| = %d (= 6!)\n"
-    (Array.length (Lazy.force yes.Gni_full.candidates))
-    (Array.length (Lazy.force no.Gni_full.candidates));
+    (Array.length (Gs.candidates yes.Gni_full.core))
+    (Array.length (Gs.candidates no.Gni_full.core));
   let params = Gni_full.params_for ~seed:7 yes in
   let rate inst prover =
     (est ~protocol:"gni_full" ~n:6 ~prover:"varied" ~trials:300 (fun seed ->
@@ -383,8 +383,8 @@ let e9 () =
       .Engine.rate
   in
   Printf.printf "single-rep rates: YES %.3f (bound >= %.3f)   NO %.3f (bound <= %.3f)\n"
-    (rate yes Gni_full.honest) params.Gni_full.yes_bound (rate no Gni_full.honest)
-    params.Gni_full.no_bound;
+    (rate yes Gni_full.honest) params.Gs.yes_bound (rate no Gni_full.honest)
+    params.Gs.no_bound;
   Printf.printf "fake-automorphism adversary on NO: %.3f (audit round catches every forged alpha)\n"
     (rate no Gni_full.adversary_fake_automorphism);
   let p400 = Gni_full.params_for ~repetitions:400 ~seed:7 yes in
@@ -441,8 +441,8 @@ let e11 () =
   Printf.printf "network: %d nodes; marked classes of size %d induce P4 vs K1,3 (both symmetric)\n"
     (Graph.n yes.Gni_induced.g) yes.Gni_induced.k;
   Printf.printf "candidate sets: YES |S| = %d (= 2 P(10,4))   NO |S| = %d (= P(10,4))\n"
-    (Array.length (Lazy.force yes.Gni_induced.candidates))
-    (Array.length (Lazy.force no.Gni_induced.candidates));
+    (Array.length (Gs.candidates yes.Gni_induced.core))
+    (Array.length (Gs.candidates no.Gni_induced.core));
   let params = Gni_induced.params_for ~seed:3 yes in
   let rate inst =
     (est ~protocol:"gni_induced" ~n:10 ~prover:"honest" ~trials:250 (fun seed ->
@@ -450,7 +450,7 @@ let e11 () =
       .Engine.rate
   in
   Printf.printf "single-rep rates: YES %.3f (bound >= %.3f)   NO %.3f (bound <= %.3f)\n"
-    (rate yes) params.Gni_induced.yes_bound (rate no) params.Gni_induced.no_bound;
+    (rate yes) params.Gs.yes_bound (rate no) params.Gs.no_bound;
   let p = Gni_induced.params_for ~repetitions:300 ~seed:3 yes in
   let oy = Gni_induced.run ~params:p ~seed:1 yes Gni_induced.honest in
   let onn = Gni_induced.run ~params:p ~seed:1 no Gni_induced.honest in

@@ -133,8 +133,8 @@ let gni_cmd =
     let params = Gni.params_for ~repetitions:reps ~seed inst in
     Printf.printf "instance: two %d-vertex graphs, isomorphic = %b\n" n
       (Iso.are_isomorphic inst.Gni.g0 inst.Gni.g1);
-    Printf.printf "params: q = %d, k = %d, t = %d, threshold = %d, bounds %.3f / %.3f\n" params.Gni.q
-      params.Gni.copies params.Gni.repetitions params.Gni.threshold (Gni.yes_rate_bound params)
+    Printf.printf "params: q = %d, k = %d, t = %d, threshold = %d, bounds %.3f / %.3f\n" params.Gs.q
+      params.Gs.copies params.Gs.repetitions params.Gs.threshold (Gni.yes_rate_bound params)
       (Gni.no_rate_bound params);
     let exec s = if single then Gni.run_single ~params ~seed:s inst Gni.honest else Gni.run ~params ~seed:s inst Gni.honest in
     if trials > 0 then report_estimate "acceptance" (Stats.acceptance_ci ~trials exec)
@@ -160,7 +160,7 @@ let gni_full_cmd =
     Printf.printf "instance: two %d-vertex graphs, |Aut(G0)| = %d, isomorphic = %b, |S| = %d\n" n
       (List.length (Lazy.force inst.Gni_full.aut0))
       (Iso.are_isomorphic inst.Gni_full.g0 inst.Gni_full.g1)
-      (Array.length (Lazy.force inst.Gni_full.candidates));
+      (Array.length (Gs.candidates inst.Gni_full.core));
     let exec s = Gni_full.run ~params ~seed:s inst Gni_full.honest in
     if trials > 0 then report_estimate "acceptance" (Stats.acceptance_ci ~trials exec)
     else report (exec seed)
@@ -187,7 +187,7 @@ let gni_induced_cmd =
       "instance: %d-node network, marked classes of %d; induced subgraphs isomorphic = %b; |S| = %d\n"
       n inst.Gni_induced.k
       (Iso.are_isomorphic inst.Gni_induced.h0 inst.Gni_induced.h1)
-      (Array.length (Lazy.force inst.Gni_induced.candidates));
+      (Array.length (Gs.candidates inst.Gni_induced.core));
     let exec s = Gni_induced.run ~params ~seed:s inst Gni_induced.honest in
     if trials > 0 then report_estimate "acceptance" (Stats.acceptance_ci ~trials exec)
     else report (exec seed)

@@ -49,13 +49,13 @@ let () =
   Printf.printf "community sizes: %d members each\n" 7;
   Printf.printf "ground truth: isomorphic = %b\n" (Iso.are_isomorphic inst.Gni.g0 inst.Gni.g1);
   let params = Gni.params_for ~repetitions:400 ~seed:8 inst in
-  Printf.printf "GS hash range q = %d (prime ~ 4..8 x 7!), %d repetitions, threshold %d\n" params.Gni.q
-    params.Gni.repetitions params.Gni.threshold;
+  Printf.printf "GS hash range q = %d (prime ~ 4..8 x 7!), %d repetitions, threshold %d\n" params.Gs.q
+    params.Gs.repetitions params.Gs.threshold;
   let o = Gni.run ~params ~seed:21 inst Gni.honest in
   Printf.printf "protocol (dAMAM): %s, %d bits per device total (%d per repetition)\n"
     (if o.Outcome.accepted then "ACCEPTED — communities are NOT isomorphic" else "REJECTED")
     o.Outcome.max_bits_per_node
-    (o.Outcome.max_bits_per_node / params.Gni.repetitions);
+    (o.Outcome.max_bits_per_node / params.Gs.repetitions);
 
   print_endline "\n=== Scenario 2b: a dishonest data center claims two equal communities differ ===\n";
   let fake = Gni.no_instance rng 7 in
@@ -76,5 +76,5 @@ let () =
   Printf.printf
     "per-repetition acceptance of the false claim: %.3f, 95%% CI [%.3f, %.3f]\n\
      (safely below the %d/%d majority threshold the amplified protocol demands)\n"
-    est.Engine.rate est.Engine.ci_low est.Engine.ci_high params.Gni.threshold
-    params.Gni.repetitions
+    est.Engine.rate est.Engine.ci_low est.Engine.ci_high params.Gs.threshold
+    params.Gs.repetitions

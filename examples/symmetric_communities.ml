@@ -34,7 +34,7 @@ let () =
   (* The compensated candidate sets have exactly the sizes the analysis
      needs, symmetry notwithstanding. *)
   Printf.printf "compensated |S|: %d (= 2 x 6! — every copy carries its automorphisms)\n\n"
-    (Array.length (Lazy.force yes.Gni_full.candidates));
+    (Array.length (Gs.candidates yes.Gni_full.core));
 
   let params = Gni_full.params_for ~repetitions:400 ~seed:3 yes in
   let o = Gni_full.run ~params ~seed:9 yes Gni_full.honest in
@@ -45,7 +45,7 @@ let () =
   print_endline "\n=== And when community B *is* a disguised copy ===\n";
   let no = Gni_full.no_instance rng 6 in
   Printf.printf "compensated |S|: %d (= 6! — the two sides contribute the same pairs)\n"
-    (Array.length (Lazy.force no.Gni_full.candidates));
+    (Array.length (Gs.candidates no.Gni_full.core));
   let params = Gni_full.params_for ~repetitions:400 ~seed:4 no in
   let o = Gni_full.run ~params ~seed:10 no Gni_full.honest in
   Printf.printf "protocol verdict: %s\n"

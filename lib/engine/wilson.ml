@@ -12,7 +12,11 @@ let interval ?(z = z95) ~accepts ~trials () =
     let denom = 1. +. (z2 /. n) in
     let center = p +. (z2 /. (2. *. n)) in
     let half = z *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n))) in
-    (Float.max 0. ((center -. half) /. denom), Float.min 1. ((center +. half) /. denom))
+    (* At the extreme counts the exact endpoint is 0 (resp. 1); rounding in
+       center -. half can leave ~1e-17 instead, which would exclude the rate. *)
+    let lo = if accepts = 0 then 0. else Float.max 0. ((center -. half) /. denom) in
+    let hi = if accepts = trials then 1. else Float.min 1. ((center +. half) /. denom) in
+    (lo, hi)
   end
 
 let width ?z ~accepts ~trials () =

@@ -13,7 +13,8 @@ val z99 : float
 val interval : ?z:float -> accepts:int -> trials:int -> unit -> float * float
 (** [interval ~accepts ~trials ()] is the Wilson score interval [(lo, hi)]
     for the acceptance probability, at confidence [z] (default {!z95}).
-    [trials = 0] yields the vacuous interval [(0, 1)]. Raises
+    [trials = 0] yields the vacuous interval [(0, 1)]; [lo] is exactly [0.]
+    when [accepts = 0] and [hi] exactly [1.] when [accepts = trials]. Raises
     [Invalid_argument] on negative counts or [accepts > trials]. *)
 
 val width : ?z:float -> accepts:int -> trials:int -> unit -> float

@@ -101,15 +101,19 @@ let to_graph6 g =
   flush_partial ();
   Buffer.contents buf
 
+(* Payload bytes of an n-node graph6 string: ceil(n(n-1)/2 / 6). Above 2^31
+   nodes n(n-1) overflows, but such a payload (> 2^58 bytes) is longer than
+   any OCaml string, so no input can match it. *)
+let graph6_payload_bytes n = if n > 1 lsl 31 then max_int else ((n * (n - 1) / 2) + 5) / 6
+
 let of_graph6 s =
   let who = "Graph_io.of_graph6" in
   let s = strip_header ">>graph6<<" s in
   if s = "" then invalid_arg (who ^ ": empty");
   let n, start = decode_size who s 0 in
+  (* Check the length before allocating: the header alone can claim 2^36 nodes. *)
+  if String.length s - start <> graph6_payload_bytes n then invalid_arg (who ^ ": wrong length");
   let g = Graph.make ~repr:(Graph.auto_repr n) n in
-  let need = n * (n - 1) / 2 in
-  let expected_bytes = start + ((need + 5) / 6) in
-  if String.length s <> expected_bytes then invalid_arg (who ^ ": wrong length");
   let byte i = sixbit who s i in
   let idx = ref 0 in
   for v = 1 to n - 1 do
@@ -184,12 +188,17 @@ let to_sparse6 g =
   done;
   Buffer.contents buf
 
+let sparse6_max_nodes = 1 lsl 24
+
 let of_sparse6 s =
   let who = "Graph_io.of_sparse6" in
   let s = strip_header ">>sparse6<<" s in
   if s = "" then invalid_arg (who ^ ": empty");
   if s.[0] <> ':' then invalid_arg (who ^ ": missing ':' prefix");
   let n, start = decode_size who s 1 in
+  (* A short payload can describe any n (isolated nodes cost nothing), so
+     the allocation below is bounded by a cap, not by the input length. *)
+  if n > sparse6_max_nodes then invalid_arg (who ^ ": n above sparse6_max_nodes");
   let k = sparse6_k n in
   let g = Graph.make ~repr:(Graph.auto_repr n) n in
   let len = String.length s in

@@ -29,19 +29,25 @@ val of_graph6 : string -> Graph.t
 (** Decode. Accepts an optional [>>graph6<<] header and surrounding
     whitespace; the result's backend follows {!Graph.auto_repr}.
     @raise Invalid_argument on malformed input: truncated or overlong
-    size header, invalid bytes, wrong payload length. *)
+    size header, invalid bytes, wrong payload length. The length is
+    checked before the graph is allocated. *)
 
 val to_sparse6 : Graph.t -> string
 (** Encode in sparse6 (leading [':'], no [>>sparse6<<] header), following
     nauty's canonical writer: edges in column-major order, 1-bit padding
     with the n = 2^k shield bit. O(m log n) output bytes. *)
 
+val sparse6_max_nodes : int
+(** [2^24]: the largest [n] {!of_sparse6} accepts. A sparse6 payload can be
+    short for any [n], so the header alone would size the allocation. *)
+
 val of_sparse6 : string -> Graph.t
 (** Decode. Accepts an optional [>>sparse6<<] header and surrounding
     whitespace; the result's backend follows {!Graph.auto_repr}. Duplicate
     edges collapse; self-loops are rejected (the {!Graph} model has none).
     @raise Invalid_argument on malformed input: missing [':'], truncated
-    or overlong size header, invalid payload bytes, self-loops. *)
+    or overlong size header, [n > sparse6_max_nodes], invalid payload
+    bytes, self-loops. *)
 
 val to_dot : ?name:string -> Graph.t -> string
 (** Graphviz [graph { ... }] source for visual inspection. *)

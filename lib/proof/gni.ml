@@ -2,26 +2,20 @@ module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
 module Iso = Ids_graph.Iso
-module Spanning_tree = Ids_graph.Spanning_tree
-module Network = Ids_network.Network
-module Fault = Ids_network.Fault
-module Bits = Ids_network.Bits
 module Field = Ids_hash.Field
-module Linear = Ids_hash.Linear
 module Api = Ids_hash.Api
 module Rng = Ids_bignum.Rng
 
-type instance = {
-  g0 : Graph.t;
-  g1 : Graph.t;
-  n : int;
-  candidates : (int array * int * (int * Bitset.t) array) array Lazy.t;
-}
+type instance = { g0 : Graph.t; g1 : Graph.t; n : int; core : Gs.t }
 
-let rows_for g sigma =
-  let n = Graph.n g in
-  Array.init n (fun v ->
-      (Perm.apply sigma v, Perm.apply_set sigma (Graph.closed_neighborhood g v)))
+(* Node v owns one row once (sigma, b) is fixed: index sigma(v), content
+   sigma(N_b(v)); the same row, linearly hashed, is its audit term. *)
+let layout g0 g1 tables b v =
+  let sigma = tables.(0) and g = if b = 0 then g0 else g1 in
+  let content = Bitset.create (Graph.n g) in
+  Bitset.iter (fun u -> Bitset.add content sigma.(u)) (Graph.closed_neighborhood g v);
+  let row = (sigma.(v), content) in
+  ([ row ], [| row |])
 
 let make_instance g0 g1 =
   let n = Graph.n g0 in
@@ -30,16 +24,17 @@ let make_instance g0 g1 =
   if not (Graph.is_connected g0) then invalid_arg "Gni.make_instance: network graph must be connected";
   if Iso.is_symmetric g0 || Iso.is_symmetric g1 then
     invalid_arg "Gni.make_instance: graphs must be asymmetric (Section 4's restriction)";
-  let candidates =
-    lazy
-      (let perms = Perm.all n in
-       let of_b b =
-         let g = if b = 0 then g0 else g1 in
-         List.map (fun sigma -> (Perm.to_array sigma, b, rows_for g sigma)) perms
-       in
-       Array.of_list (of_b 0 @ of_b 1))
+  (* Every (sigma, b): for asymmetric graphs the 2 n! matrices are distinct
+     on YES instances, and each NO matrix appears once per side. *)
+  let enumerate core =
+    let of_b b = List.map (fun sigma -> Gs.candidate core ~b [| Perm.to_array sigma |]) (Perm.all n) in
+    Array.of_list (of_b 0 @ of_b 1)
   in
-  { g0; g1; n; candidates }
+  let core =
+    Gs.make ~graph:g0 ~width:n ~set_size:(Precomp.factorial n) ~salt:0x6b2f ~slack:0 ~tables:1 ~audits:1
+      ~layout:(layout g0 g1) ~enumerate
+  in
+  { g0; g1; n; core }
 
 let yes_instance rng n =
   let g0 = Ids_graph.Family.random_asymmetric rng n in
@@ -54,205 +49,33 @@ let no_instance rng n =
   let g1 = Graph.relabel g0 (Perm.to_array (Perm.random rng n)) in
   make_instance g0 g1
 
-type params = {
-  q : int;
-  field : int Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  factorial : int;
-  yes_bound : float;
-  no_bound : float;
-}
+type params = Gs.params
 
-let factorial n = Precomp.factorial n
+let params_for ?repetitions ~seed inst = Gs.params_for ?repetitions ~seed inst.core
 
-(* Single-repetition acceptance bounds from the GS analysis with an
-   eps-API hash (see Api's documentation). *)
-let rate_bounds ~n ~q ~k ~factorial =
-  let fq = float_of_int q and fk = float_of_int factorial in
-  let eps = Api.epsilon (Field.int_field q) ~n ~k ~q:fq in
-  let s = 2. *. fk in
-  let yes = (s /. fq) -. (s *. s *. (1. +. eps) /. (2. *. fq *. fq)) in
-  let no = fk /. fq in
-  (yes, no)
+let yes_rate_bound (p : params) = p.yes_bound
+let no_rate_bound (p : params) = p.no_bound
 
-let params_for ?repetitions ~seed inst =
-  let k = Api.default_copies in
-  let fact = factorial inst.n in
-  let rng = Rng.create (seed lxor 0x6b2f) in
-  let q = Ids_bignum.Prime.random_prime_in_int rng (4 * fact) (8 * fact) in
-  let yes, no = rate_bounds ~n:inst.n ~q ~k ~factorial:fact in
-  let repetitions = match repetitions with Some t -> t | None -> 600 in
-  let threshold = Stats.midpoint_threshold ~trials:repetitions ~yes_rate:yes ~no_rate:no in
-  { q;
-    field = Field.int_field q;
-    copies = k;
-    repetitions;
-    threshold;
-    factorial = fact;
-    yes_bound = yes;
-    no_bound = no
-  }
+type prover = Gs.prover
 
-let yes_rate_bound p = p.yes_bound
-let no_rate_bound p = p.no_bound
+let prover_name = Gs.prover_name
 
-(* --- fast preimage search --------------------------------------------------- *)
-
-(* Hash a candidate's rows under an Api spec using per-point power tables:
-   z_i = sum_rows powers_i.(row_index * n) * P_i(content),
-   y   = shift + sum_i coeffs_i * z_i   (mod q). *)
-let hash_candidate ~q ~n powtabs (spec : int Api.spec) rows =
-  let k = Array.length spec.Api.points in
-  let y = ref spec.Api.shift in
-  for i = 0 to k - 1 do
-    let pows = powtabs.(i) in
-    let z = ref 0 in
-    Array.iter
-      (fun (idx, content) ->
-        let p = Bitset.fold (fun w acc -> (acc + pows.(w + 1)) mod q) content 0 in
-        z := (!z + (pows.(idx * n) * p)) mod q)
-      rows;
-    y := (!y + (spec.Api.coeffs.(i) * !z)) mod q
-  done;
-  !y
-
-let power_tables ~q ~n (spec : int Api.spec) =
-  let m = (n * n) + n in
-  Array.map
-    (fun a ->
-      let t = Array.make (m + 1) 1 in
-      for i = 1 to m do
-        t.(i) <- t.(i - 1) * a mod q
-      done;
-      t)
-    spec.Api.points
-
-let find_preimage params inst spec target =
-  let q = params.q and n = inst.n in
-  let powtabs = power_tables ~q ~n spec in
-  let cands = Lazy.force inst.candidates in
-  let rec scan i =
-    if i >= Array.length cands then None
-    else begin
-      let sigma, b, rows = cands.(i) in
-      if hash_candidate ~q ~n powtabs spec rows = target then Some (sigma, b) else scan (i + 1)
-    end
-  in
-  scan 0
-
-(* --- protocol messages ------------------------------------------------------- *)
-
-type challenge = { specs : int Api.spec array; targets : int array }
-
-type commit = {
-  miss : bool array;  (* broadcast *)
-  b : int array;  (* broadcast *)
-  sigma : int array array;  (* broadcast *)
-  root : int array;  (* broadcast *)
-  spec_echo : int Api.spec array;  (* broadcast *)
-  target_echo : int array;  (* broadcast *)
-  parent : int array;  (* unicast *)
-  dist : int array;  (* unicast *)
-}
-
-type reveal = {
-  audit_echo : int array;  (* broadcast *)
-  agg : int array array;  (* unicast: k inner aggregates per node *)
-  audit_agg : int array;  (* unicast *)
-}
-
-type prover = {
-  name : string;
-  commit : params -> instance -> challenge -> commit;
-  reveal : params -> instance -> challenge -> commit -> int array -> reveal;
-}
-
-let prover_name p = p.name
-
-let const n v = Array.make n v
-
-let honest_root = 0
-
-(* Row owned by node v once (sigma, b) is fixed: index sigma(v), content
-   sigma(N_b(v)). *)
-let own_row inst sigma_table b v =
-  let g = if b = 0 then inst.g0 else inst.g1 in
-  let content = Bitset.create inst.n in
-  Bitset.iter (fun u -> Bitset.add content sigma_table.(u)) (Graph.closed_neighborhood g v);
-  (sigma_table.(v), content)
-
-let identity_table n = Array.init n Fun.id
-
-let honest_commit params inst (ch : challenge) =
-  let n = inst.n in
-  let tree = Precomp.tree inst.g0 honest_root in
-  let spec = ch.specs.(honest_root) and target = ch.targets.(honest_root) in
-  let miss, sigma, b =
-    match find_preimage params inst spec target with
-    | Some (sigma, b) -> (false, sigma, b)
-    | None -> (true, identity_table n, 0)
-  in
-  { miss = const n miss;
-    b = const n b;
-    sigma = const n sigma;
-    root = const n honest_root;
-    spec_echo = const n spec;
-    target_echo = const n target;
-    parent = Array.copy tree.Spanning_tree.parent;
-    dist = Array.copy tree.Spanning_tree.dist
-  }
-
-let honest_reveal params inst (_ch : challenge) (c : commit) audit =
-  let n = inst.n in
-  let f = params.field in
-  let root = c.root.(0) in
-  let tree = { Spanning_tree.root; parent = Array.copy c.parent; dist = Array.copy c.dist } in
-  let spec = c.spec_echo.(0) and sigma = c.sigma.(0) and b = c.b.(0) in
-  let audit_point = audit.(root) in
-  let k = params.copies in
-  if c.miss.(0) then
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun _ -> Array.make k 0);
-      audit_agg = Array.make n 0
-    }
-  else begin
-    let term v =
-      let idx, content = own_row inst sigma b v in
-      Api.row_term f spec ~n ~row:idx content
-    in
-    let audit_term v =
-      let idx, content = own_row inst sigma b v in
-      Linear.row_hash f audit_point ~n ~row:idx content
-    in
-    (* Vector aggregation: run the scalar helper once per inner copy. *)
-    let per_copy =
-      Array.init k (fun i -> Aggregation.honest_sums f tree ~term:(fun v -> (term v).(i)))
-    in
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun v -> Array.init k (fun i -> per_copy.(i).(v)));
-      audit_agg = Aggregation.honest_sums f tree ~term:audit_term
-    }
-  end
-
-let honest = { name = "honest"; commit = honest_commit; reveal = honest_reveal }
+let honest = Gs.honest
 
 type commit_mode = [ `Search | `Deny of [ `Identity | `Random of int ] | `Always_identity ]
 
 type reveal_mode = [ `Honest | `Patch_root ]
 
+let identity_table n = Array.init n Fun.id
+
 (* Honest search, but a miss is never admitted: claim a preimage that does
    not exist (the failed search already ruled every table out, so the bet is
    hopeless, but the structural checks all pass until the root's target
    equation). *)
-let deny_commit table_for params inst ch =
-  let c = honest_commit params inst ch in
-  if not c.miss.(0) then c
-  else begin
-    let n = inst.n in
-    { c with miss = const n false; sigma = const n (table_for n); b = const n 0 }
-  end
+let deny_search table_for params core spec target =
+  match Gs.find_preimage params core spec target with
+  | Some _ as hit -> hit
+  | None -> Some (0, [| table_for (Graph.n (Gs.graph core)) |])
 
 (* Never searches: commits to (identity, g0) whether or not the target has a
    preimage, betting on the identity hash landing on the target. The reveal
@@ -260,23 +83,13 @@ let deny_commit table_for params inst ch =
    bet is settled by the root's outer target equation alone — per repetition
    it wins with probability about 1/q, far below the honest miss rate of
    roughly 1 - 2 n!/q. *)
-let always_identity_commit _params inst (ch : challenge) =
-  let n = inst.n in
-  let tree = Precomp.tree inst.g0 honest_root in
-  { miss = const n false;
-    b = const n 0;
-    sigma = const n (identity_table n);
-    root = const n honest_root;
-    spec_echo = const n ch.specs.(honest_root);
-    target_echo = const n ch.targets.(honest_root);
-    parent = Array.copy tree.Spanning_tree.parent;
-    dist = Array.copy tree.Spanning_tree.dist
-  }
+let always_identity_search _params core _spec _target =
+  Some (0, [| identity_table (Graph.n (Gs.graph core)) |])
 
 (* Patch the root's aggregate so the outer target equation passes; the
    root's own aggregation check then fails instead. *)
-let patch_root_reveal params inst ch c audit =
-  let r = honest_reveal params inst ch c audit in
+let patch_root_reveal (params : params) core ch (c : Gs.commit) audit =
+  let r = Gs.honest_reveal params core ch c audit in
   let f = params.field in
   let root = c.root.(0) and spec = c.spec_echo.(0) and target = c.target_echo.(0) in
   let current = Api.finalize f spec r.agg.(root) in
@@ -299,15 +112,15 @@ let patch_root_reveal params inst ch c audit =
   end
 
 let cheat ~name ~commit ~reveal =
-  let commit =
+  let search =
     match commit with
-    | `Search -> honest_commit
-    | `Deny `Identity -> deny_commit identity_table
-    | `Deny (`Random seed) -> deny_commit (fun n -> Perm.to_array (Perm.random (Rng.create seed) n))
-    | `Always_identity -> always_identity_commit
+    | `Search -> Gs.find_preimage
+    | `Deny `Identity -> deny_search identity_table
+    | `Deny (`Random seed) -> deny_search (fun n -> Perm.to_array (Perm.random (Rng.create seed) n))
+    | `Always_identity -> always_identity_search
   in
-  let reveal = match reveal with `Honest -> honest_reveal | `Patch_root -> patch_root_reveal in
-  { name; commit; reveal }
+  let reveal = match reveal with `Honest -> Gs.honest_reveal | `Patch_root -> patch_root_reveal in
+  { Gs.name; commit = Gs.commit_with search; reveal }
 
 let adversary_forge_aggregates =
   cheat ~name:"adversary:forge-aggregates" ~commit:(`Deny (`Random 99)) ~reveal:`Patch_root
@@ -315,127 +128,7 @@ let adversary_forge_aggregates =
 let adversary_biased_hash =
   cheat ~name:"adversary:biased-hash" ~commit:`Always_identity ~reveal:`Honest
 
-(* --- execution --------------------------------------------------------------- *)
-
-(* One repetition inside a running network; returns per-node validity. *)
-let run_repetition params inst net prover =
-  let n = inst.n in
-  let f = params.field in
-  let k = params.copies in
-  let g0 = inst.g0 in
-  (* Arthur 1: spec + target candidates. *)
-  let spec_bits = Api.spec_bits f ~k in
-  let specs = Network.challenge net ~bits:spec_bits (fun rng -> Api.random_spec f ~k rng) in
-  let targets = Network.challenge net ~bits:f.Field.bits (fun rng -> f.Field.random rng) in
-  let ch = { specs; targets } in
-  (* Merlin 1: commitment. *)
-  let c = prover.commit params inst ch in
-  let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
-  let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
-  let spec_corrupt rng (s : int Api.spec) =
-    { s with Api.shift = field_corrupt rng s.Api.shift }
-  in
-  let agg_corrupt rng a =
-    if Array.length a = 0 then a
-    else begin
-      let a = Array.copy a in
-      let i = Rng.int rng (Array.length a) in
-      a.(i) <- field_corrupt rng a.(i);
-      a
-    end
-  in
-  let miss_bc = Network.broadcast net ~corrupt:Fault.flip_bool ~bits:1 c.miss in
-  let b_bc = Network.broadcast net ~corrupt:(Fault.flip_int_bit ~bits:1) ~bits:1 c.b in
-  let sigma_bc = Network.broadcast net ~corrupt:Fault.swap_entries ~bits:(Bits.perm n) c.sigma in
-  let root_bc = Network.broadcast net ~corrupt:id_corrupt ~bits:(Bits.id n) c.root in
-  let spec_echo_bc = Network.broadcast net ~corrupt:spec_corrupt ~bits:spec_bits c.spec_echo in
-  let target_echo_bc = Network.broadcast net ~corrupt:field_corrupt ~bits:f.Field.bits c.target_echo in
-  let parent_u = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) c.parent in
-  let dist_u = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) c.dist in
-  (* Arthur 2: audit point. *)
-  let audit = Network.challenge net ~bits:f.Field.bits (fun rng -> f.Field.random rng) in
-  (* Merlin 2: aggregates. *)
-  let r = prover.reveal params inst ch c audit in
-  let audit_echo_bc = Network.broadcast net ~corrupt:field_corrupt ~bits:f.Field.bits r.audit_echo in
-  let agg_u = Network.unicast net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits) r.agg in
-  let audit_agg_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.audit_agg in
-  (* Local verification. *)
-  let field_ok x = Aggregation.in_range params.q x in
-  let is_perm table =
-    Array.length table = n
-    && Array.for_all (Aggregation.in_range n) table
-    &&
-    let seen = Array.make n false in
-    Array.iter (fun x -> if Aggregation.in_range n x then seen.(x) <- true) table;
-    Array.for_all Fun.id seen
-  in
-  let valid_at v =
-    Network.broadcast_consistent_at net miss_bc v
-    && Network.broadcast_consistent_at net b_bc v
-    && Network.broadcast_consistent_at net sigma_bc v
-    && Network.broadcast_consistent_at net root_bc v
-    && Network.broadcast_consistent_at net spec_echo_bc v
-    && Network.broadcast_consistent_at net target_echo_bc v
-    && Network.broadcast_consistent_at net audit_echo_bc v
-    && (not miss_bc.(v))
-    &&
-    let sigma = sigma_bc.(v) and root = root_bc.(v) in
-    let spec = spec_echo_bc.(v) and target = target_echo_bc.(v) in
-    let audit_pt = audit_echo_bc.(v) in
-    (b_bc.(v) = 0 || b_bc.(v) = 1)
-    && is_perm sigma
-    && Aggregation.in_range n root
-    && field_ok target && field_ok audit_pt
-    && Array.for_all field_ok spec.Api.points
-    && Array.for_all field_ok spec.Api.coeffs
-    && field_ok spec.Api.shift
-    && Array.length spec.Api.points = k
-    && Array.length agg_u.(v) = k
-    && Array.for_all field_ok agg_u.(v)
-    && field_ok audit_agg_u.(v)
-    && Aggregation.tree_check g0 ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let idx, content = own_row inst sigma b_bc.(v) v in
-    let children = Aggregation.children g0 ~parent:parent_u v in
-    let term = Api.row_term f spec ~n ~row:idx content in
-    let audit_term = Linear.row_hash f audit_pt ~n ~row:idx content in
-    let copy_ok i =
-      let own = term.(i) in
-      let expected = List.fold_left (fun acc u -> f.Field.add acc agg_u.(u).(i)) own children in
-      f.Field.equal agg_u.(v).(i) expected
-    in
-    let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
-    all_copies 0
-    && Aggregation.subtree_equation f ~own:audit_term ~claimed:audit_agg_u ~children v
-    &&
-    if v = root then
-      f.Field.equal (Api.finalize f spec agg_u.(v)) target
-      && spec = specs.(v) && target = targets.(v) && audit_pt = audit.(v)
-    else true
-  in
-  let valid = Array.init n valid_at in
-  (* Scope delivery failures to this repetition: a drop invalidates the node
-     here and now, and the cleared flags leave the final Network.decide (over
-     the aggregated counts) to judge only crashes. *)
-  let missed = Network.take_missed net in
-  Array.mapi (fun v ok -> ok && not missed.(v)) valid
-
 let run_single ?fault ?params ~seed inst prover =
-  Ids_obs.Obs.span "gni.run_single" (fun () ->
-      let params = match params with Some p -> p | None -> params_for ~seed inst in
-      let net = Network.create ?fault ~seed inst.g0 in
-      let valid = run_repetition params inst net prover in
-      let accepted = Network.decide net (fun v -> valid.(v)) in
-      Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net))
+  Gs.run_single ~span:"gni.run_single" ?fault ?params ~seed inst.core prover
 
-let run ?fault ?params ~seed inst prover =
-  Ids_obs.Obs.span "gni.run" (fun () ->
-      let params = match params with Some p -> p | None -> params_for ~seed inst in
-      let net = Network.create ?fault ~seed inst.g0 in
-      let counts = Array.make inst.n 0 in
-      for _rep = 1 to params.repetitions do
-        let valid = run_repetition params inst net prover in
-        Array.iteri (fun v ok -> if ok then counts.(v) <- counts.(v) + 1) valid
-      done;
-      let accepted = Network.decide net (fun v -> counts.(v) >= params.threshold) in
-      Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net))
+let run ?fault ?params ~seed inst prover = Gs.run ~span:"gni.run" ?fault ?params ~seed inst.core prover

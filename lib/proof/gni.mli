@@ -13,31 +13,26 @@
 
     has size exactly [2 n!] when [(G_0, G_1) in GNI] and [n!] otherwise.
 
-    {2 One repetition (the A-M-A-M pattern)}
+    {2 The protocol}
 
-    + {b Arthur} — every node draws a candidate hash spec for the
-      {!Ids_hash.Api} family (inner evaluation points, outer coefficients)
-      and a candidate target [y in [q]]; the tree root's will bind.
-    + {b Merlin} — commits: broadcasts the root [r], an echo of [r]'s spec
-      and target (each node checks the echo against its own draw when it is
-      the root), the bit [b], the full permutation [sigma] and the
-      spanning-tree labels — claiming [h(A_{sigma(G_b)}) = y]. When no
-      preimage exists the honest prover signals a miss.
-    + {b Arthur} — every node draws a fresh {e audit} point for a second,
-      post-commitment linear hash of the committed matrix.
-    + {b Merlin} — reveals the subtree aggregates of the inner hash vector
-      and of the audit hash, up the spanning tree.
+    The distributed Goldwasser–Sipser skeleton is {!Gs}: Arthur draws an
+    {!Ids_hash.Api} spec and target, Merlin commits to [(b, sigma)] (or
+    admits a miss), Arthur draws an audit point, Merlin reveals the
+    subtree aggregates. This module supplies only what is specific to the
+    asymmetric case:
+    - the candidate set: all [(sigma, b)], one table per commitment;
+    - the layout: node [v] owns row [sigma(v)] of [A_{sigma(G_b)}], with
+      content [sigma(N_b(v))], computable locally from the broadcast
+      [sigma]; its single audit term is the same row's linear hash under
+      the post-commitment audit point;
+    - the seed salt [0x6b2f] and no NO-side slack;
+    - the parameterized cheats of the E17 strategy space.
 
-    Each node recomputes its own row's contribution — row [sigma(v)] of
-    [A_{sigma(G_b)}] with content [sigma(N_b(v))], all computable locally
-    from the broadcast [sigma] — checks the aggregation equations, and the
-    root checks that the outer layer of the aggregate equals [y]. Every
-    message is [O(n log n)] bits ([q = Theta(n!)], so one field element is
-    [Theta(n log n)] bits; [sigma] is [n log n] bits).
-
-    The conference paper does not spell out which values travel in which of
-    the four rounds; DESIGN.md documents the substitution above. The audit
-    round preserves the paper's A-M-A-M pattern and adds a post-commitment
+    Every message is [O(n log n)] bits ([q = Theta(n!)], so one field
+    element is [Theta(n log n)] bits; [sigma] is [n log n] bits). The
+    conference paper does not spell out which values travel in which of
+    the four rounds; DESIGN.md documents the substitution. The audit round
+    preserves the paper's A-M-A-M pattern and adds a post-commitment
     consistency hash; soundness rests on the deterministic aggregate checks
     plus the root's target equation, exactly as in the GS analysis.
 
@@ -55,9 +50,7 @@ type instance = private {
   g0 : Ids_graph.Graph.t;
   g1 : Ids_graph.Graph.t;
   n : int;
-  candidates : (int array * int * (int * Ids_graph.Bitset.t) array) array Lazy.t;
-      (** All [(sigma, b, rows of A_{sigma(G_b)})], precomputed for the
-          unbounded prover's preimage searches. *)
+  core : Gs.t;  (** candidates: every [(sigma, b)], in the prover's scan order *)
 }
 
 val make_instance : Ids_graph.Graph.t -> Ids_graph.Graph.t -> instance
@@ -71,16 +64,8 @@ val yes_instance : Ids_bignum.Rng.t -> int -> instance
 val no_instance : Ids_bignum.Rng.t -> int -> instance
 (** [G_1] is a random relabeling of [G_0] ([(G_0,G_1) not in GNI]). *)
 
-type params = {
-  q : int;  (** hash range: a prime in [\[4 n!, 8 n!\]] *)
-  field : int Ids_hash.Field.t;
-  copies : int;  (** inner copies [k] of the API hash *)
-  repetitions : int;
-  threshold : int;  (** per-node acceptance count *)
-  factorial : int;  (** [n!] *)
-  yes_bound : float;  (** analytical single-repetition YES lower bound *)
-  no_bound : float;  (** analytical single-repetition NO upper bound *)
-}
+type params = Gs.params
+(** [set_size] is [n!]. *)
 
 val params_for : ?repetitions:int -> seed:int -> instance -> params
 
@@ -137,18 +122,9 @@ val cheat : name:string -> commit:commit_mode -> reveal:reveal_mode -> prover
 
 val run_single :
   ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
-(** One repetition; [accepted] means all nodes found it locally valid (a
-    "hit"). Used to measure the single-repetition acceptance rates that the
-    GS analysis predicts. [fault] injects faults into every channel round
-    (see {!Ids_network.Fault}). *)
+(** One repetition ({!Gs.run_single}); used to measure the
+    single-repetition acceptance rates that the GS analysis predicts. *)
 
 val run :
   ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
-(** The full amplified protocol: [params.repetitions] repetitions, per-node
-    counting, global accept iff every node's count reaches the threshold.
-    [fault] injects faults into every channel round of every repetition: a
-    dropped message (or challenge) invalidates the affected node for exactly
-    the repetition it occurred in, so completeness degrades with the drop
-    rate, while crashed nodes are judged once at the final decision per the
-    spec's crash mode ({!Ids_network.Fault.Crash_reject} forces rejection,
-    [Crash_vacuous] skips their counts). *)
+(** The full amplified protocol ({!Gs.run}). *)

@@ -2,12 +2,6 @@ module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
 module Iso = Ids_graph.Iso
-module Spanning_tree = Ids_graph.Spanning_tree
-module Network = Ids_network.Network
-module Bits = Ids_network.Bits
-module Field = Ids_hash.Field
-module Linear = Ids_hash.Linear
-module Api = Ids_hash.Api
 module Rng = Ids_bignum.Rng
 
 type instance = {
@@ -16,7 +10,7 @@ type instance = {
   n : int;
   aut0 : int array list Lazy.t;
   aut1 : int array list Lazy.t;
-  candidates : (int array * int * int array * (int * Bitset.t) array) array Lazy.t;
+  core : Gs.t;
 }
 
 let automorphism_tables g =
@@ -24,25 +18,24 @@ let automorphism_tables g =
     (fun p -> if Iso.is_automorphism g p then Some (Perm.to_array p) else None)
     (Perm.all (Graph.n g))
 
-(* Rows of the hashed object for a candidate (sigma, b, alpha): the 2n-row
+(* Rows of the hashed object for a commitment (sigma, b, alpha): the 2n-row
    stack of A_{sigma(G_b)} and the permutation matrix of
    beta = sigma alpha sigma^{-1}. Node v owns rows sigma(v) and
-   n + sigma(v). *)
-let rows_for g sigma alpha =
+   n + sigma(v). Its audit terms are the Lemma 3.1 pair: the rows
+   [v, N_b(v)] and [alpha(v), alpha(N_b(v))]. *)
+let layout g0 g1 tables b v =
+  let sigma = tables.(0) and alpha = tables.(1) in
+  let g = if b = 0 then g0 else g1 in
   let n = Graph.n g in
-  Array.init (2 * n) (fun i ->
-      if i < n then begin
-        let v = i in
-        let content = Bitset.create n in
-        Bitset.iter (fun u -> Bitset.add content sigma.(u)) (Graph.closed_neighborhood g v);
-        (sigma.(v), content)
-      end
-      else begin
-        let v = i - n in
-        let content = Bitset.create n in
-        Bitset.add content sigma.(alpha.(v));
-        (n + sigma.(v), content)
-      end)
+  let image table =
+    let s = Bitset.create n in
+    Bitset.iter (fun u -> Bitset.add s table.(u)) (Graph.closed_neighborhood g v);
+    s
+  in
+  let auto = Bitset.create n in
+  Bitset.add auto sigma.(alpha.(v));
+  ( [ (sigma.(v), image sigma); (n + sigma.(v), auto) ],
+    [| (v, Graph.closed_neighborhood g v); (alpha.(v), image alpha) |] )
 
 (* Key identifying the represented pair (H, beta): the map (sigma, alpha) to
    pairs is |Aut|-to-1, so deduplicating by key enumerates S exactly. *)
@@ -62,38 +55,44 @@ let make_instance g0 g1 =
   if n > 7 then invalid_arg "Gni_full.make_instance: n > 7";
   if not (Graph.is_connected g0) then invalid_arg "Gni_full.make_instance: network graph must be connected";
   let aut0 = lazy (automorphism_tables g0) and aut1 = lazy (automorphism_tables g1) in
-  let candidates =
-    lazy
-      (let check_size auts =
-         if List.length auts > 256 then
-           invalid_arg "Gni_full.make_instance: automorphism group too large to enumerate"
-       in
-       check_size (Lazy.force aut0);
-       check_size (Lazy.force aut1);
-       let seen = Hashtbl.create 4096 in
-       let acc = ref [] in
-       let perms = List.map Perm.to_array (Perm.all n) in
-       List.iter
-         (fun (g, b, auts) ->
-           List.iter
-             (fun sigma ->
-               List.iter
-                 (fun alpha ->
-                   (* The key deliberately omits b: S is a set of pairs
-                      (H, beta), and for isomorphic inputs the two sides
-                      contribute the same pairs — which is the whole point
-                      of the size gap. *)
-                   let key = pair_key g sigma alpha in
-                   if not (Hashtbl.mem seen key) then begin
-                     Hashtbl.add seen key ();
-                     acc := (sigma, b, alpha, rows_for g sigma alpha) :: !acc
-                   end)
-                 auts)
-             perms)
-         [ (g0, 0, Lazy.force aut0); (g1, 1, Lazy.force aut1) ];
-       Array.of_list (List.rev !acc))
+  let enumerate core =
+    let check_size auts =
+      if List.length auts > 256 then
+        invalid_arg "Gni_full.make_instance: automorphism group too large to enumerate"
+    in
+    check_size (Lazy.force aut0);
+    check_size (Lazy.force aut1);
+    let seen = Hashtbl.create 4096 in
+    let acc = ref [] in
+    let perms = List.map Perm.to_array (Perm.all n) in
+    List.iter
+      (fun (g, b, auts) ->
+        List.iter
+          (fun sigma ->
+            List.iter
+              (fun alpha ->
+                (* The key deliberately omits b: S is a set of pairs
+                   (H, beta), and for isomorphic inputs the two sides
+                   contribute the same pairs — which is the whole point
+                   of the size gap. *)
+                let key = pair_key g sigma alpha in
+                if not (Hashtbl.mem seen key) then begin
+                  Hashtbl.add seen key ();
+                  acc := Gs.candidate core ~b [| sigma; alpha |] :: !acc
+                end)
+              auts)
+          perms)
+      [ (g0, 0, Lazy.force aut0); (g1, 1, Lazy.force aut1) ];
+    Array.of_list (List.rev !acc)
   in
-  { g0; g1; n; aut0; aut1; candidates }
+  (* The hashed matrices have 2n rows of width 2n (only the first n columns
+     are populated). NO side: a committed fake automorphism slips past the
+     post-commitment audit with probability at most (n^2+n)/q. *)
+  let core =
+    Gs.make ~graph:g0 ~width:(2 * n) ~set_size:(Precomp.factorial n) ~salt:0x51c7 ~slack:((n * n) + n)
+      ~tables:2 ~audits:2 ~layout:(layout g0 g1) ~enumerate
+  in
+  { g0; g1; n; aut0; aut1; core }
 
 let small_symmetric rng n =
   let rec sample () =
@@ -114,345 +113,50 @@ let no_instance rng n =
   let g0 = small_symmetric rng n in
   make_instance g0 (Graph.relabel g0 (Perm.to_array (Perm.random rng n)))
 
-type params = {
-  q : int;
-  field : int Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  factorial : int;
-  yes_bound : float;
-  no_bound : float;
-}
+type params = Gs.params
 
-let factorial n = Precomp.factorial n
+let params_for ?repetitions ~seed inst = Gs.params_for ?repetitions ~seed inst.core
 
-let params_for ?repetitions ~seed inst =
-  let k = Api.default_copies in
-  let n = inst.n in
-  let fact = factorial n in
-  let rng = Rng.create (seed lxor 0x51c7) in
-  let q = Ids_bignum.Prime.random_prime_in_int rng (4 * fact) (8 * fact) in
-  let fq = float_of_int q and fk = float_of_int fact in
-  (* The hashed matrices have 2n rows of width 2n (only the first n columns
-     are populated), so the Schwartz–Zippel degree is m = (2n)^2 + 2n. *)
-  let m = (2 * n * 2 * n) + (2 * n) in
-  let eps = fq *. ((float_of_int m /. fq) ** float_of_int k) in
-  let s = 2. *. fk in
-  let yes = (s /. fq) -. (s *. s *. (1. +. eps) /. (2. *. fq *. fq)) in
-  (* NO side: genuine preimages (K/q) plus a committed fake automorphism
-     slipping past the post-commitment audit ((n^2+n)/q). *)
-  let no = (fk /. fq) +. (float_of_int ((n * n) + n) /. fq) in
-  let repetitions = match repetitions with Some t -> t | None -> 600 in
-  let threshold = Stats.midpoint_threshold ~trials:repetitions ~yes_rate:yes ~no_rate:no in
-  { q;
-    field = Field.int_field q;
-    copies = k;
-    repetitions;
-    threshold;
-    factorial = fact;
-    yes_bound = yes;
-    no_bound = no
-  }
+type prover = Gs.prover
 
-(* --- preimage search ---------------------------------------------------------- *)
+let prover_name = Gs.prover_name
 
-let hash_rows ~q ~width powtabs (spec : int Api.spec) rows =
-  let k = Array.length spec.Api.points in
-  let y = ref spec.Api.shift in
-  for i = 0 to k - 1 do
-    let pows = powtabs.(i) in
-    let z = ref 0 in
-    Array.iter
-      (fun (idx, content) ->
-        let p = Bitset.fold (fun w acc -> (acc + pows.(w + 1)) mod q) content 0 in
-        z := (!z + (pows.(idx * width) * p)) mod q)
-      rows;
-    y := (!y + (spec.Api.coeffs.(i) * !z)) mod q
-  done;
-  !y
+let honest = Gs.honest
 
-let power_tables ~q ~m (spec : int Api.spec) =
-  Array.map
-    (fun a ->
-      let t = Array.make (m + 1) 1 in
-      for i = 1 to m do
-        t.(i) <- t.(i - 1) * a mod q
-      done;
-      t)
-    spec.Api.points
-
-let find_preimage params inst spec target =
-  let q = params.q in
-  let width = 2 * inst.n in
-  let powtabs = power_tables ~q ~m:((width * width) + width) spec in
-  let cands = Lazy.force inst.candidates in
-  let rec scan i =
-    if i >= Array.length cands then None
-    else begin
-      let sigma, b, alpha, rows = cands.(i) in
-      if hash_rows ~q ~width powtabs spec rows = target then Some (sigma, b, alpha) else scan (i + 1)
-    end
-  in
-  scan 0
-
-(* --- protocol ------------------------------------------------------------------ *)
-
-type challenge = { specs : int Api.spec array; targets : int array }
-
-type commit = {
-  miss : bool array;
-  b : int array;
-  sigma : int array array;
-  alpha : int array array;
-  root : int array;
-  spec_echo : int Api.spec array;
-  target_echo : int array;
-  parent : int array;
-  dist : int array;
-}
-
-type reveal = {
-  audit_echo : int array;
-  agg : int array array;  (* k main aggregates per node *)
-  c_agg : int array;  (* Lemma 3.1 check: sum of [v, N_b(v)] *)
-  d_agg : int array;  (* sum of [alpha(v), alpha(N_b(v))] *)
-}
-
-type prover = {
-  name : string;
-  commit : params -> instance -> challenge -> commit;
-  reveal : params -> instance -> challenge -> commit -> int array -> reveal;
-}
-
-let prover_name p = p.name
-
-let const n v = Array.make n v
-
-let honest_root = 0
-
-let own_rows inst sigma b alpha v =
-  let g = if b = 0 then inst.g0 else inst.g1 in
-  let n = inst.n in
-  let matrix_content = Bitset.create n in
-  Bitset.iter (fun u -> Bitset.add matrix_content sigma.(u)) (Graph.closed_neighborhood g v);
-  let auto_content = Bitset.create n in
-  Bitset.add auto_content sigma.(alpha.(v));
-  [ (sigma.(v), matrix_content); (n + sigma.(v), auto_content) ]
-
-let identity_table n = Array.init n Fun.id
-
-let commit_with params inst (ch : challenge) search =
-  let n = inst.n in
-  let tree = Precomp.tree inst.g0 honest_root in
-  let spec = ch.specs.(honest_root) and target = ch.targets.(honest_root) in
-  let miss, sigma, b, alpha =
-    match search params inst spec target with
-    | Some (sigma, b, alpha) -> (false, sigma, b, alpha)
-    | None -> (true, identity_table n, 0, identity_table n)
-  in
-  { miss = const n miss;
-    b = const n b;
-    sigma = const n sigma;
-    alpha = const n alpha;
-    root = const n honest_root;
-    spec_echo = const n spec;
-    target_echo = const n target;
-    parent = Array.copy tree.Spanning_tree.parent;
-    dist = Array.copy tree.Spanning_tree.dist
-  }
-
-let honest_reveal params inst (_ch : challenge) (c : commit) audit =
-  let n = inst.n in
-  let f = params.field in
-  let root = c.root.(0) in
-  let tree = { Spanning_tree.root; parent = Array.copy c.parent; dist = Array.copy c.dist } in
-  let spec = c.spec_echo.(0) and sigma = c.sigma.(0) and alpha = c.alpha.(0) and b = c.b.(0) in
-  let audit_point = audit.(root) in
-  let k = params.copies in
-  if c.miss.(0) then
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun _ -> Array.make k 0);
-      c_agg = Array.make n 0;
-      d_agg = Array.make n 0
-    }
-  else begin
-    let width = 2 * n in
-    let g = if b = 0 then inst.g0 else inst.g1 in
-    let term v =
-      List.fold_left
-        (fun acc (row, content) -> Api.combine f acc (Api.row_term f spec ~n:width ~row content))
-        (Api.zero_term f ~k)
-        (own_rows inst sigma b alpha v)
+(* On a miss, inflate the candidate set with non-automorphisms: much easier
+   to hit the target, but the audit will expose the commitment. *)
+let fake_automorphism_search params core spec target =
+  match Gs.find_preimage params core spec target with
+  | Some _ as hit -> hit
+  | None ->
+    let g0 = Gs.graph core in
+    let n = Graph.n g0 in
+    let hash = Gs.hash_rows params core spec in
+    let rng = Rng.create 4242 in
+    let fakes =
+      List.filter
+        (fun t -> not (Iso.is_automorphism g0 (Perm.of_array t)))
+        (List.init 8 (fun _ -> Perm.to_array (Perm.random rng n)))
     in
-    let c_term v = Linear.row_hash f audit_point ~n ~row:v (Graph.closed_neighborhood g v) in
-    let d_term v =
-      let image = Bitset.create n in
-      Bitset.iter (fun u -> Bitset.add image alpha.(u)) (Graph.closed_neighborhood g v);
-      Linear.row_hash f audit_point ~n ~row:alpha.(v) image
-    in
-    let per_copy = Array.init k (fun i -> Aggregation.honest_sums f tree ~term:(fun v -> (term v).(i))) in
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun v -> Array.init k (fun i -> per_copy.(i).(v)));
-      c_agg = Aggregation.honest_sums f tree ~term:c_term;
-      d_agg = Aggregation.honest_sums f tree ~term:d_term
-    }
-  end
-
-let honest =
-  { name = "honest";
-    commit = (fun params inst ch -> commit_with params inst ch find_preimage);
-    reveal = honest_reveal
-  }
+    let hit = ref None in
+    List.iter
+      (fun sigma ->
+        List.iter
+          (fun alpha ->
+            if !hit = None && hash (Gs.candidate core ~b:0 [| sigma; alpha |]).Gs.rows = target then
+              hit := Some (0, [| sigma; alpha |]))
+          fakes)
+      (List.map Perm.to_array (Perm.all n));
+    !hit
 
 let adversary_fake_automorphism =
-  { name = "adversary:fake-automorphism";
-    commit =
-      (fun params inst ch ->
-        (* Inflate the candidate set with non-automorphisms: much easier to
-           hit the target, but the audit will expose the commitment. *)
-        let inflated params inst spec target =
-          match find_preimage params inst spec target with
-          | Some _ as hit -> hit
-          | None ->
-            let n = inst.n in
-            let q = params.q in
-            let width = 2 * n in
-            let powtabs = power_tables ~q ~m:((width * width) + width) spec in
-            let rng = Rng.create 4242 in
-            let fakes =
-              List.filter
-                (fun t -> not (Iso.is_automorphism inst.g0 (Perm.of_array t)))
-                (List.init 8 (fun _ -> Perm.to_array (Perm.random rng n)))
-            in
-            let perms = List.map Perm.to_array (Perm.all n) in
-            let hit = ref None in
-            List.iter
-              (fun sigma ->
-                List.iter
-                  (fun alpha ->
-                    if !hit = None then begin
-                      let rows = rows_for inst.g0 sigma alpha in
-                      if hash_rows ~q ~width powtabs spec rows = target then
-                        hit := Some (sigma, 0, alpha)
-                    end)
-                  fakes)
-              perms;
-            !hit
-        in
-        commit_with params inst ch inflated);
-    reveal = honest_reveal
+  { Gs.name = "adversary:fake-automorphism";
+    commit = Gs.commit_with fake_automorphism_search;
+    reveal = Gs.honest_reveal
   }
 
-let run_repetition params inst net prover =
-  let n = inst.n in
-  let f = params.field in
-  let k = params.copies in
-  let g0 = inst.g0 in
-  let width = 2 * n in
-  let spec_bits = Api.spec_bits f ~k in
-  let specs = Network.challenge net ~bits:spec_bits (fun rng -> Api.random_spec f ~k rng) in
-  let targets = Network.challenge net ~bits:f.Field.bits (fun rng -> f.Field.random rng) in
-  let ch = { specs; targets } in
-  let c = prover.commit params inst ch in
-  let miss_bc = Network.broadcast net ~bits:1 c.miss in
-  let b_bc = Network.broadcast net ~bits:1 c.b in
-  let sigma_bc = Network.broadcast net ~bits:(Bits.perm n) c.sigma in
-  let alpha_bc = Network.broadcast net ~bits:(Bits.perm n) c.alpha in
-  let root_bc = Network.broadcast net ~bits:(Bits.id n) c.root in
-  let spec_echo_bc = Network.broadcast net ~bits:spec_bits c.spec_echo in
-  let target_echo_bc = Network.broadcast net ~bits:f.Field.bits c.target_echo in
-  let parent_u = Network.unicast net ~bits:(Bits.id n) c.parent in
-  let dist_u = Network.unicast net ~bits:(Bits.id n) c.dist in
-  let audit = Network.challenge net ~bits:f.Field.bits (fun rng -> f.Field.random rng) in
-  let r = prover.reveal params inst ch c audit in
-  let audit_echo_bc = Network.broadcast net ~bits:f.Field.bits r.audit_echo in
-  let agg_u = Network.unicast net ~bits:(k * f.Field.bits) r.agg in
-  let c_agg_u = Network.unicast net ~bits:f.Field.bits r.c_agg in
-  let d_agg_u = Network.unicast net ~bits:f.Field.bits r.d_agg in
-  let field_ok x = Aggregation.in_range params.q x in
-  let is_perm table =
-    Array.length table = n
-    && Array.for_all (Aggregation.in_range n) table
-    &&
-    let seen = Array.make n false in
-    Array.iter (fun x -> if Aggregation.in_range n x then seen.(x) <- true) table;
-    Array.for_all Fun.id seen
-  in
-  let valid_at v =
-    Network.broadcast_consistent_at net miss_bc v
-    && Network.broadcast_consistent_at net b_bc v
-    && Network.broadcast_consistent_at net sigma_bc v
-    && Network.broadcast_consistent_at net alpha_bc v
-    && Network.broadcast_consistent_at net root_bc v
-    && Network.broadcast_consistent_at net spec_echo_bc v
-    && Network.broadcast_consistent_at net target_echo_bc v
-    && Network.broadcast_consistent_at net audit_echo_bc v
-    && (not miss_bc.(v))
-    &&
-    let sigma = sigma_bc.(v) and alpha = alpha_bc.(v) and root = root_bc.(v) in
-    let spec = spec_echo_bc.(v) and target = target_echo_bc.(v) in
-    let audit_pt = audit_echo_bc.(v) in
-    (b_bc.(v) = 0 || b_bc.(v) = 1)
-    && is_perm sigma && is_perm alpha
-    && Aggregation.in_range n root
-    && field_ok target && field_ok audit_pt
-    && Array.for_all field_ok spec.Api.points
-    && Array.for_all field_ok spec.Api.coeffs
-    && field_ok spec.Api.shift
-    && Array.length spec.Api.points = k
-    && Array.length agg_u.(v) = k
-    && Array.for_all field_ok agg_u.(v)
-    && field_ok c_agg_u.(v) && field_ok d_agg_u.(v)
-    && Aggregation.tree_check g0 ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let children = Aggregation.children g0 ~parent:parent_u v in
-    let g = if b_bc.(v) = 0 then inst.g0 else inst.g1 in
-    let term =
-      List.fold_left
-        (fun acc (row, content) -> Api.combine f acc (Api.row_term f spec ~n:width ~row content))
-        (Api.zero_term f ~k)
-        (own_rows inst sigma b_bc.(v) alpha v)
-    in
-    let c_term = Linear.row_hash f audit_pt ~n ~row:v (Graph.closed_neighborhood g v) in
-    let d_term =
-      let image = Bitset.create n in
-      Bitset.iter (fun u -> Bitset.add image alpha.(u)) (Graph.closed_neighborhood g v);
-      Linear.row_hash f audit_pt ~n ~row:alpha.(v) image
-    in
-    let copy_ok i =
-      let expected = List.fold_left (fun acc u -> f.Field.add acc agg_u.(u).(i)) term.(i) children in
-      f.Field.equal agg_u.(v).(i) expected
-    in
-    let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
-    all_copies 0
-    && Aggregation.subtree_equation f ~own:c_term ~claimed:c_agg_u ~children v
-    && Aggregation.subtree_equation f ~own:d_term ~claimed:d_agg_u ~children v
-    &&
-    if v = root then
-      f.Field.equal (Api.finalize f spec agg_u.(v)) target
-      && f.Field.equal c_agg_u.(v) d_agg_u.(v)
-      && spec = specs.(v) && target = targets.(v) && audit_pt = audit.(v)
-    else true
-  in
-  Array.init n valid_at
+let run_single ?fault ?params ~seed inst prover =
+  Gs.run_single ~span:"gni_full.run_single" ?fault ?params ~seed inst.core prover
 
-let run_single ?params ~seed inst prover =
-  Ids_obs.Obs.span "gni_full.run_single" (fun () ->
-      let params = match params with Some p -> p | None -> params_for ~seed inst in
-      let net = Network.create ~seed inst.g0 in
-      let valid = run_repetition params inst net prover in
-      let accepted = Array.for_all Fun.id valid in
-      Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net))
-
-let run ?params ~seed inst prover =
-  Ids_obs.Obs.span "gni_full.run" (fun () ->
-      let params = match params with Some p -> p | None -> params_for ~seed inst in
-      let net = Network.create ~seed inst.g0 in
-      let counts = Array.make inst.n 0 in
-      for _rep = 1 to params.repetitions do
-        let valid = run_repetition params inst net prover in
-        Array.iteri (fun v ok -> if ok then counts.(v) <- counts.(v) + 1) valid
-      done;
-      let accepted = Array.for_all (fun cnt -> cnt >= params.threshold) counts in
-      Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net))
+let run ?fault ?params ~seed inst prover =
+  Gs.run ~span:"gni_full.run" ?fault ?params ~seed inst.core prover

@@ -31,7 +31,13 @@
     NO-side bound.
 
     Costs remain [O(n log n)] per node per repetition ([sigma] and [alpha]
-    broadcasts, a constant number of [Theta(n log n)]-bit field elements). *)
+    broadcasts, a constant number of [Theta(n log n)]-bit field elements).
+
+    The rounds, checks and amplification are {!Gs}'s. Specific to this
+    variant: the deduplicated candidate set, the two tables [[|sigma;
+    alpha|]], the layout above with the audit pair [(c, d)] (the root's
+    "all audit aggregates agree" is [c = d]), the seed salt [0x51c7], the
+    NO-side slack [(n^2+n)/q], and {!adversary_fake_automorphism}. *)
 
 type instance = private {
   g0 : Ids_graph.Graph.t;
@@ -39,10 +45,9 @@ type instance = private {
   n : int;
   aut0 : int array list Lazy.t;  (** Aut(G_0) as image tables. *)
   aut1 : int array list Lazy.t;
-  candidates : (int array * int * int array * (int * Ids_graph.Bitset.t) array) array Lazy.t;
-      (** Distinct representatives [(sigma, b, alpha)] of the elements of
-          [S], one per pair [(H, beta)], with the precomputed rows of the
-          hashed [2n x n] stack. *)
+  core : Gs.t;
+      (** candidates: distinct representatives [(sigma, b, alpha)] of the
+          elements of [S], one per pair [(H, beta)]. *)
 }
 
 val make_instance : Ids_graph.Graph.t -> Ids_graph.Graph.t -> instance
@@ -58,16 +63,9 @@ val yes_instance : Ids_bignum.Rng.t -> int -> instance
 val no_instance : Ids_bignum.Rng.t -> int -> instance
 (** An isomorphic pair of symmetric graphs. *)
 
-type params = {
-  q : int;
-  field : int Ids_hash.Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  factorial : int;
-  yes_bound : float;
-  no_bound : float;  (** includes the fake-automorphism term [(n^2+n)/q] *)
-}
+type params = Gs.params
+(** [set_size] is [n!]; [no_bound] includes the fake-automorphism term
+    [(n^2+n)/q]. *)
 
 val params_for : ?repetitions:int -> seed:int -> instance -> params
 
@@ -83,6 +81,8 @@ val adversary_fake_automorphism : prover
     post-commitment audit hash catches it with probability
     [1 - (n^2+n)/q]. *)
 
-val run_single : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run_single :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
 
-val run : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t

@@ -1,13 +1,6 @@
 module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
-module Iso = Ids_graph.Iso
-module Spanning_tree = Ids_graph.Spanning_tree
-module Network = Ids_network.Network
-module Bits = Ids_network.Bits
-module Field = Ids_hash.Field
-module Linear = Ids_hash.Linear
-module Api = Ids_hash.Api
 module Rng = Ids_bignum.Rng
 
 type instance = {
@@ -17,7 +10,7 @@ type instance = {
   k : int;
   h0 : Graph.t;
   h1 : Graph.t;
-  candidates : (int array * int * int array * (int * Bitset.t) array) array Lazy.t;
+  core : Gs.t;
 }
 
 let class_members marks b =
@@ -34,18 +27,24 @@ let class_neighborhood g marks u =
   Bitset.iter (fun w -> if marks.(w) = marks.(u) then Bitset.add s w) (Graph.neighbors g u);
   s
 
-(* The 2k nonzero rows contributed by the class-b nodes under (psi, alpha). *)
-let rows_for inst psi b alpha =
-  let n = inst.n in
-  List.concat_map
-    (fun u ->
-      let content = Bitset.create n in
-      Bitset.iter (fun w -> Bitset.add content psi.(w)) (class_neighborhood inst.g inst.marks u);
-      let auto = Bitset.create n in
-      Bitset.add auto psi.(alpha.(u));
-      [ (psi.(u), content); ((n + psi.(u), auto)) ])
-    (class_members inst.marks b)
-  |> Array.of_list
+(* Node v owns its embedded matrix row and automorphism row when marked with
+   the committed class, nothing otherwise; its audit terms are the Lemma 3.1
+   pair on the induced matrix, in original ids. *)
+let layout g marks tables b v =
+  if marks.(v) <> b then ([], [||])
+  else begin
+    let psi = tables.(0) and alpha = tables.(1) in
+    let n = Graph.n g in
+    let nb = class_neighborhood g marks v in
+    let image table =
+      let s = Bitset.create n in
+      Bitset.iter (fun w -> Bitset.add s table.(w)) nb;
+      s
+    in
+    let auto = Bitset.create n in
+    Bitset.add auto psi.(alpha.(v));
+    ([ (psi.(v), image psi); (n + psi.(v), auto) ], [| (v, nb); (alpha.(v), image alpha) |])
+  end
 
 (* Bijections of the class that preserve induced adjacency — Aut(H_b) in
    original-id space, including the identity. Enumerated over the k! maps. *)
@@ -84,74 +83,70 @@ let make_instance g marks =
   if k > 5 then invalid_arg "Gni_induced.make_instance: k > 5 (the prover scans P(n,k) * k! pairs)";
   if permutations_count n k > 1 lsl 21 then
     invalid_arg "Gni_induced.make_instance: candidate set too large to enumerate";
-  let inst_no_cands =
-    { g;
-      marks;
-      n;
-      k;
-      h0 = induced_of g marks 0;
-      h1 = induced_of g marks 1;
-      candidates = lazy [||]
-    }
+  let enumerate core =
+    let seen = Hashtbl.create 4096 in
+    let acc = ref [] in
+    (* One full permutation per injection: place the class members, fill
+       the rest in increasing order. Distinct objects are deduped by their
+       serialized rows. *)
+    let rec injections chosen remaining =
+      if remaining = 0 then [ List.rev chosen ]
+      else
+        List.concat_map
+          (fun t -> if List.mem t chosen then [] else injections (t :: chosen) (remaining - 1))
+          (List.init n Fun.id)
+    in
+    let complete_perm members targets =
+      let psi = Array.make n (-1) in
+      List.iter2 (fun u t -> psi.(u) <- t) members targets;
+      let used = Array.make n false in
+      Array.iter (fun t -> if t >= 0 then used.(t) <- true) psi;
+      let free = ref (List.filter (fun t -> not used.(t)) (List.init n Fun.id)) in
+      Array.iteri
+        (fun v t ->
+          if t < 0 then begin
+            match !free with
+            | f :: rest ->
+              psi.(v) <- f;
+              free := rest
+            | [] -> assert false
+          end)
+        psi;
+      psi
+    in
+    let serialize rows =
+      String.concat ";"
+        (List.map (fun (i, s) -> Printf.sprintf "%d:%s" i (Format.asprintf "%a" Bitset.pp s))
+           (List.sort Stdlib.compare (Array.to_list rows)))
+    in
+    List.iter
+      (fun b ->
+        let members = class_members marks b in
+        let auts = class_automorphisms g marks b in
+        List.iter
+          (fun targets ->
+            let psi = complete_perm members targets in
+            List.iter
+              (fun alpha ->
+                let c = Gs.candidate core ~b [| psi; alpha |] in
+                let key = serialize c.Gs.rows in
+                if not (Hashtbl.mem seen key) then begin
+                  Hashtbl.add seen key ();
+                  acc := c :: !acc
+                end)
+              auts)
+          (injections [] k))
+      [ 0; 1 ];
+    Array.of_list (List.rev !acc)
   in
-  let candidates =
-    lazy
-      (let seen = Hashtbl.create 4096 in
-       let acc = ref [] in
-       (* One full permutation per injection: place the class members, fill
-          the rest in increasing order. Distinct objects are deduped by
-          their serialized rows. *)
-       let rec injections chosen remaining =
-         if remaining = 0 then [ List.rev chosen ]
-         else
-           List.concat_map
-             (fun t -> if List.mem t chosen then [] else injections (t :: chosen) (remaining - 1))
-             (List.init n Fun.id)
-       in
-       let complete_perm members targets =
-         let psi = Array.make n (-1) in
-         List.iter2 (fun u t -> psi.(u) <- t) members targets;
-         let used = Array.make n false in
-         Array.iter (fun t -> if t >= 0 then used.(t) <- true) psi;
-         let free = ref (List.filter (fun t -> not used.(t)) (List.init n Fun.id)) in
-         Array.iteri
-           (fun v t ->
-             if t < 0 then begin
-               match !free with
-               | f :: rest ->
-                 psi.(v) <- f;
-                 free := rest
-               | [] -> assert false
-             end)
-           psi;
-         psi
-       in
-       let serialize rows =
-         String.concat ";"
-           (List.map (fun (i, s) -> Printf.sprintf "%d:%s" i (Format.asprintf "%a" Bitset.pp s))
-              (List.sort Stdlib.compare (Array.to_list rows)))
-       in
-       List.iter
-         (fun b ->
-           let members = class_members marks b in
-           let auts = class_automorphisms g marks b in
-           List.iter
-             (fun targets ->
-               let psi = complete_perm members targets in
-               List.iter
-                 (fun alpha ->
-                   let rows = rows_for inst_no_cands psi b alpha in
-                   let key = serialize rows in
-                   if not (Hashtbl.mem seen key) then begin
-                     Hashtbl.add seen key ();
-                     acc := (psi, b, alpha, rows) :: !acc
-                   end)
-                 auts)
-             (injections [] k))
-         [ 0; 1 ];
-       Array.of_list (List.rev !acc))
+  (* The NO-side slack ((2n)^2 + 2n)/q is looser than the width-n audit
+     needs, but safe; thresholds depend on it, so it stays. *)
+  let width = 2 * n in
+  let core =
+    Gs.make ~graph:g ~width ~set_size:(permutations_count n k) ~salt:0x77aa ~slack:((width * width) + width)
+      ~tables:2 ~audits:2 ~layout:(layout g marks) ~enumerate
   in
-  { inst_no_cands with candidates }
+  { g; marks; n; k; h0 = induced_of g marks 0; h1 = induced_of g marks 1; core }
 
 let plant rng ~n ~h0 ~h1 =
   let k = Graph.n h0 in
@@ -190,312 +185,18 @@ let k13 = Graph.star 4
 let yes_instance rng n = plant rng ~n ~h0:p4 ~h1:k13
 let no_instance rng n = plant rng ~n ~h0:p4 ~h1:p4
 
-type params = {
-  q : int;
-  field : int Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  set_size : int;
-  yes_bound : float;
-  no_bound : float;
-}
+type params = Gs.params
 
-let params_for ?repetitions ~seed inst =
-  let kcopies = Api.default_copies in
-  let n = inst.n in
-  let set_size = permutations_count n inst.k in
-  let rng = Rng.create (seed lxor 0x77aa) in
-  let q = Ids_bignum.Prime.random_prime_in_int rng (4 * set_size) (8 * set_size) in
-  let fq = float_of_int q and fk = float_of_int set_size in
-  let m = (2 * n * 2 * n) + (2 * n) in
-  let eps = fq *. ((float_of_int m /. fq) ** float_of_int kcopies) in
-  let s = 2. *. fk in
-  let yes = (s /. fq) -. (s *. s *. (1. +. eps) /. (2. *. fq *. fq)) in
-  let no = (fk /. fq) +. (float_of_int m /. fq) in
-  let repetitions = match repetitions with Some t -> t | None -> 600 in
-  let threshold = Stats.midpoint_threshold ~trials:repetitions ~yes_rate:yes ~no_rate:no in
-  { q;
-    field = Field.int_field q;
-    copies = kcopies;
-    repetitions;
-    threshold;
-    set_size;
-    yes_bound = yes;
-    no_bound = no
-  }
+let params_for ?repetitions ~seed inst = Gs.params_for ?repetitions ~seed inst.core
 
-(* --- preimage search ----------------------------------------------------------- *)
+type prover = Gs.prover
 
-let hash_rows ~q ~width powtabs (spec : int Api.spec) rows =
-  let k = Array.length spec.Api.points in
-  let y = ref spec.Api.shift in
-  for i = 0 to k - 1 do
-    let pows = powtabs.(i) in
-    let z = ref 0 in
-    Array.iter
-      (fun (idx, content) ->
-        let p = Bitset.fold (fun w acc -> (acc + pows.(w + 1)) mod q) content 0 in
-        z := (!z + (pows.(idx * width) * p)) mod q)
-      rows;
-    y := (!y + (spec.Api.coeffs.(i) * !z)) mod q
-  done;
-  !y
+let prover_name = Gs.prover_name
 
-let power_tables ~q ~m (spec : int Api.spec) =
-  Array.map
-    (fun a ->
-      let t = Array.make (m + 1) 1 in
-      for i = 1 to m do
-        t.(i) <- t.(i - 1) * a mod q
-      done;
-      t)
-    spec.Api.points
+let honest = Gs.honest
 
-let find_preimage params inst spec target =
-  let q = params.q in
-  let width = 2 * inst.n in
-  let powtabs = power_tables ~q ~m:((width * width) + width) spec in
-  let cands = Lazy.force inst.candidates in
-  let rec scan i =
-    if i >= Array.length cands then None
-    else begin
-      let psi, b, alpha, rows = cands.(i) in
-      if hash_rows ~q ~width powtabs spec rows = target then Some (psi, b, alpha) else scan (i + 1)
-    end
-  in
-  scan 0
+let run_single ?fault ?params ~seed inst prover =
+  Gs.run_single ~span:"gni_induced.run_single" ?fault ?params ~seed inst.core prover
 
-(* --- protocol -------------------------------------------------------------------- *)
-
-type challenge = { specs : int Api.spec array; targets : int array }
-
-type commit = {
-  miss : bool array;
-  b : int array;
-  psi : int array array;
-  alpha : int array array;
-  root : int array;
-  spec_echo : int Api.spec array;
-  target_echo : int array;
-  parent : int array;
-  dist : int array;
-}
-
-type reveal = {
-  audit_echo : int array;
-  agg : int array array;
-  c_agg : int array;
-  d_agg : int array;
-}
-
-type prover = {
-  name : string;
-  commit : params -> instance -> challenge -> commit;
-  reveal : params -> instance -> challenge -> commit -> int array -> reveal;
-}
-
-let prover_name p = p.name
-
-let const n v = Array.make n v
-
-let honest_root = 0
-
-(* Rows owned by node v: its embedded matrix row and automorphism row when
-   marked with the committed class, nothing otherwise. *)
-let own_rows inst psi b alpha v =
-  if inst.marks.(v) <> b then []
-  else begin
-    let n = inst.n in
-    let content = Bitset.create n in
-    Bitset.iter (fun w -> Bitset.add content psi.(w)) (class_neighborhood inst.g inst.marks v);
-    let auto = Bitset.create n in
-    Bitset.add auto psi.(alpha.(v));
-    [ (psi.(v), content); (n + psi.(v), auto) ]
-  end
-
-let identity_table n = Array.init n Fun.id
-
-let honest_commit params inst (ch : challenge) =
-  let n = inst.n in
-  let tree = Precomp.tree inst.g honest_root in
-  let spec = ch.specs.(honest_root) and target = ch.targets.(honest_root) in
-  let miss, psi, b, alpha =
-    match find_preimage params inst spec target with
-    | Some (psi, b, alpha) -> (false, psi, b, alpha)
-    | None -> (true, identity_table n, 0, identity_table n)
-  in
-  { miss = const n miss;
-    b = const n b;
-    psi = const n psi;
-    alpha = const n alpha;
-    root = const n honest_root;
-    spec_echo = const n spec;
-    target_echo = const n target;
-    parent = Array.copy tree.Spanning_tree.parent;
-    dist = Array.copy tree.Spanning_tree.dist
-  }
-
-let honest_reveal params inst (_ch : challenge) (c : commit) audit =
-  let n = inst.n in
-  let f = params.field in
-  let root = c.root.(0) in
-  let tree = { Spanning_tree.root; parent = Array.copy c.parent; dist = Array.copy c.dist } in
-  let spec = c.spec_echo.(0) and psi = c.psi.(0) and alpha = c.alpha.(0) and b = c.b.(0) in
-  let audit_point = audit.(root) in
-  let k = params.copies in
-  if c.miss.(0) then
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun _ -> Array.make k 0);
-      c_agg = Array.make n 0;
-      d_agg = Array.make n 0
-    }
-  else begin
-    let width = 2 * n in
-    let term v =
-      List.fold_left
-        (fun acc (row, content) -> Api.combine f acc (Api.row_term f spec ~n:width ~row content))
-        (Api.zero_term f ~k)
-        (own_rows inst psi b alpha v)
-    in
-    (* The Lemma 3.1 pair on the induced matrix, in original ids. *)
-    let c_term v =
-      if inst.marks.(v) <> b then 0
-      else Linear.row_hash f audit_point ~n ~row:v (class_neighborhood inst.g inst.marks v)
-    in
-    let d_term v =
-      if inst.marks.(v) <> b then 0
-      else begin
-        let image = Bitset.create n in
-        Bitset.iter (fun u -> Bitset.add image alpha.(u)) (class_neighborhood inst.g inst.marks v);
-        Linear.row_hash f audit_point ~n ~row:alpha.(v) image
-      end
-    in
-    let per_copy = Array.init k (fun i -> Aggregation.honest_sums f tree ~term:(fun v -> (term v).(i))) in
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun v -> Array.init k (fun i -> per_copy.(i).(v)));
-      c_agg = Aggregation.honest_sums f tree ~term:c_term;
-      d_agg = Aggregation.honest_sums f tree ~term:d_term
-    }
-  end
-
-let honest = { name = "honest"; commit = honest_commit; reveal = honest_reveal }
-
-let run_repetition params inst net prover =
-  let n = inst.n in
-  let f = params.field in
-  let k = params.copies in
-  let width = 2 * n in
-  let spec_bits = Api.spec_bits f ~k in
-  let specs = Network.challenge net ~bits:spec_bits (fun rng -> Api.random_spec f ~k rng) in
-  let targets = Network.challenge net ~bits:f.Field.bits (fun rng -> f.Field.random rng) in
-  let ch = { specs; targets } in
-  let c = prover.commit params inst ch in
-  let miss_bc = Network.broadcast net ~bits:1 c.miss in
-  let b_bc = Network.broadcast net ~bits:1 c.b in
-  let psi_bc = Network.broadcast net ~bits:(Bits.perm n) c.psi in
-  let alpha_bc = Network.broadcast net ~bits:(Bits.perm n) c.alpha in
-  let root_bc = Network.broadcast net ~bits:(Bits.id n) c.root in
-  let spec_echo_bc = Network.broadcast net ~bits:spec_bits c.spec_echo in
-  let target_echo_bc = Network.broadcast net ~bits:f.Field.bits c.target_echo in
-  let parent_u = Network.unicast net ~bits:(Bits.id n) c.parent in
-  let dist_u = Network.unicast net ~bits:(Bits.id n) c.dist in
-  let audit = Network.challenge net ~bits:f.Field.bits (fun rng -> f.Field.random rng) in
-  let r = prover.reveal params inst ch c audit in
-  let audit_echo_bc = Network.broadcast net ~bits:f.Field.bits r.audit_echo in
-  let agg_u = Network.unicast net ~bits:(k * f.Field.bits) r.agg in
-  let c_agg_u = Network.unicast net ~bits:f.Field.bits r.c_agg in
-  let d_agg_u = Network.unicast net ~bits:f.Field.bits r.d_agg in
-  let field_ok x = Aggregation.in_range params.q x in
-  let is_perm table =
-    Array.length table = n
-    && Array.for_all (Aggregation.in_range n) table
-    &&
-    let seen = Array.make n false in
-    Array.iter (fun x -> if Aggregation.in_range n x then seen.(x) <- true) table;
-    Array.for_all Fun.id seen
-  in
-  let valid_at v =
-    Network.broadcast_consistent_at net miss_bc v
-    && Network.broadcast_consistent_at net b_bc v
-    && Network.broadcast_consistent_at net psi_bc v
-    && Network.broadcast_consistent_at net alpha_bc v
-    && Network.broadcast_consistent_at net root_bc v
-    && Network.broadcast_consistent_at net spec_echo_bc v
-    && Network.broadcast_consistent_at net target_echo_bc v
-    && Network.broadcast_consistent_at net audit_echo_bc v
-    && (not miss_bc.(v))
-    &&
-    let psi = psi_bc.(v) and alpha = alpha_bc.(v) and root = root_bc.(v) in
-    let spec = spec_echo_bc.(v) and target = target_echo_bc.(v) in
-    let audit_pt = audit_echo_bc.(v) in
-    (b_bc.(v) = 0 || b_bc.(v) = 1)
-    && is_perm psi
-    && Array.length alpha = n
-    && Array.for_all (Aggregation.in_range n) alpha
-    && Aggregation.in_range n root
-    && field_ok target && field_ok audit_pt
-    && Array.for_all field_ok spec.Api.points
-    && Array.for_all field_ok spec.Api.coeffs
-    && field_ok spec.Api.shift
-    && Array.length spec.Api.points = k
-    && Array.length agg_u.(v) = k
-    && Array.for_all field_ok agg_u.(v)
-    && field_ok c_agg_u.(v) && field_ok d_agg_u.(v)
-    && Aggregation.tree_check inst.g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let children = Aggregation.children inst.g ~parent:parent_u v in
-    let term =
-      List.fold_left
-        (fun acc (row, content) -> Api.combine f acc (Api.row_term f spec ~n:width ~row content))
-        (Api.zero_term f ~k)
-        (own_rows inst psi b_bc.(v) alpha v)
-    in
-    let c_term =
-      if inst.marks.(v) <> b_bc.(v) then 0
-      else Linear.row_hash f audit_pt ~n ~row:v (class_neighborhood inst.g inst.marks v)
-    in
-    let d_term =
-      if inst.marks.(v) <> b_bc.(v) then 0
-      else begin
-        let image = Bitset.create n in
-        Bitset.iter (fun u -> Bitset.add image alpha.(u)) (class_neighborhood inst.g inst.marks v);
-        Linear.row_hash f audit_pt ~n ~row:alpha.(v) image
-      end
-    in
-    let copy_ok i =
-      let expected = List.fold_left (fun acc u -> f.Field.add acc agg_u.(u).(i)) term.(i) children in
-      f.Field.equal agg_u.(v).(i) expected
-    in
-    let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
-    all_copies 0
-    && Aggregation.subtree_equation f ~own:c_term ~claimed:c_agg_u ~children v
-    && Aggregation.subtree_equation f ~own:d_term ~claimed:d_agg_u ~children v
-    &&
-    if v = root then
-      f.Field.equal (Api.finalize f spec agg_u.(v)) target
-      && f.Field.equal c_agg_u.(v) d_agg_u.(v)
-      && spec = specs.(v) && target = targets.(v) && audit_pt = audit.(v)
-    else true
-  in
-  Array.init n valid_at
-
-let run_single ?params ~seed inst prover =
-  Ids_obs.Obs.span "gni_induced.run_single" (fun () ->
-      let params = match params with Some p -> p | None -> params_for ~seed inst in
-      let net = Network.create ~seed inst.g in
-      let valid = run_repetition params inst net prover in
-      let accepted = Array.for_all Fun.id valid in
-      Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net))
-
-let run ?params ~seed inst prover =
-  Ids_obs.Obs.span "gni_induced.run" (fun () ->
-      let params = match params with Some p -> p | None -> params_for ~seed inst in
-      let net = Network.create ~seed inst.g in
-      let counts = Array.make inst.n 0 in
-      for _rep = 1 to params.repetitions do
-        let valid = run_repetition params inst net prover in
-        Array.iteri (fun v ok -> if ok then counts.(v) <- counts.(v) + 1) valid
-      done;
-      let accepted = Array.for_all (fun cnt -> cnt >= params.threshold) counts in
-      Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net))
+let run ?fault ?params ~seed inst prover =
+  Gs.run ~span:"gni_induced.run" ?fault ?params ~seed inst.core prover

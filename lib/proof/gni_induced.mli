@@ -28,7 +28,13 @@
     own their two rows; everyone else contributes zero and participates in
     the aggregation. The post-commitment audit point checks Lemma 3.1's
     equation for [alpha] on the induced matrix, which also forces
-    [alpha] to fix the marked class setwise. *)
+    [alpha] to fix the marked class setwise.
+
+    The rounds, checks and amplification are {!Gs}'s. Specific to this
+    variant: the candidate set, the two tables [[|psi; alpha|]], the
+    layout above (unmarked nodes own no rows and contribute zero audit
+    terms), the seed salt [0x77aa], and the NO-side slack
+    [((2n)^2 + 2n)/q] — looser than the width-[n] audit needs, but safe. *)
 
 type instance = private {
   g : Ids_graph.Graph.t;
@@ -37,8 +43,7 @@ type instance = private {
   k : int;  (** size of each marked class *)
   h0 : Ids_graph.Graph.t;  (** induced subgraph of the 0-class, relabelled *)
   h1 : Ids_graph.Graph.t;
-  candidates : (int array * int * int array * (int * Ids_graph.Bitset.t) array) array Lazy.t;
-      (** [(psi, b, alpha, rows)] — one representative per element of S. *)
+  core : Gs.t;  (** candidates: one [(psi, b, alpha)] per element of S *)
 }
 
 val make_instance : Ids_graph.Graph.t -> int array -> instance
@@ -58,16 +63,8 @@ val yes_instance : Ids_bignum.Rng.t -> int -> instance
 val no_instance : Ids_bignum.Rng.t -> int -> instance
 (** Plants two copies of P4. *)
 
-type params = {
-  q : int;
-  field : int Ids_hash.Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  set_size : int;  (** [P(n, k)] *)
-  yes_bound : float;
-  no_bound : float;
-}
+type params = Gs.params
+(** [set_size] is [P(n, k)]. *)
 
 val params_for : ?repetitions:int -> seed:int -> instance -> params
 
@@ -77,6 +74,8 @@ val prover_name : prover -> string
 
 val honest : prover
 
-val run_single : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run_single :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
 
-val run : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t

@@ -145,14 +145,28 @@ let prop_merge_agrees_with_fold =
 
 (* --- Wilson intervals ------------------------------------------------------------ *)
 
-let prop_wilson_contains_rate =
-  QCheck.Test.make ~name:"Wilson: CI contains the rate, inside [0,1]" ~count:500
-    QCheck.(pair (int_bound 10_000) (int_bound 10_000))
-    (fun (a, b) ->
-      let trials = 1 + max a b and accepts = min a b in
-      let rate = float_of_int accepts /. float_of_int trials in
-      let lo, hi = Wilson.interval ~accepts ~trials () in
-      0. <= lo && lo <= rate && rate <= hi && hi <= 1.)
+(* A deterministic sweep (a random draw hit the rare rounding cases only now
+   and then): the interval lies in [0, 1] and contains the rate at every
+   count for trials up to 10^4 at both endpoints, and on an interior grid;
+   the endpoints are exact at 0 and at full accepts. *)
+let test_wilson_contains_rate () =
+  let check ~accepts ~trials =
+    let rate = float_of_int accepts /. float_of_int trials in
+    let lo, hi = Wilson.interval ~accepts ~trials () in
+    if not (0. <= lo && lo <= rate && rate <= hi && hi <= 1.) then
+      Alcotest.failf "%d/%d: [%h, %h] misses the rate %h" accepts trials lo hi rate
+  in
+  for trials = 1 to 10_000 do
+    check ~accepts:0 ~trials;
+    check ~accepts:trials ~trials;
+    Alcotest.(check (float 0.)) "lo exact at 0 accepts" 0. (fst (Wilson.interval ~accepts:0 ~trials ()));
+    Alcotest.(check (float 0.)) "hi exact at full accepts" 1. (snd (Wilson.interval ~accepts:trials ~trials ()))
+  done;
+  for trials = 1 to 300 do
+    for accepts = 0 to trials do
+      check ~accepts ~trials
+    done
+  done
 
 let test_wilson_width_shrinks () =
   (* Width behaves like 1/sqrt(trials): quadrupling the sample roughly
@@ -360,7 +374,7 @@ let suite =
         qtest prop_merge_agrees_with_fold
       ] );
     ( "engine-wilson",
-      [ qtest prop_wilson_contains_rate;
+      [ Alcotest.test_case "Wilson: CI contains the rate, inside [0,1]" `Quick test_wilson_contains_rate;
         Alcotest.test_case "width shrinks like 1/sqrt(n)" `Quick test_wilson_width_shrinks
       ] );
     ( "engine-sprt",

@@ -23,8 +23,8 @@ let test_gni_full_candidate_counts () =
   let rng = Rng.create 200 in
   let yes = Gni_full.yes_instance rng 6 and no = Gni_full.no_instance rng 6 in
   Alcotest.(check bool) "one side symmetric" true (Iso.is_symmetric yes.Gni_full.g0);
-  Alcotest.(check int) "YES: |S| = 2 * 6!" 1440 (Array.length (Lazy.force yes.Gni_full.candidates));
-  Alcotest.(check int) "NO: |S| = 6!" 720 (Array.length (Lazy.force no.Gni_full.candidates))
+  Alcotest.(check int) "YES: |S| = 2 * 6!" 1440 (Array.length (Gs.candidates yes.Gni_full.core));
+  Alcotest.(check int) "NO: |S| = 6!" 720 (Array.length (Gs.candidates no.Gni_full.core))
 
 let test_gni_full_candidate_counts_asymmetric_too () =
   (* The fix must also agree with the restricted protocol's counting. *)
@@ -33,7 +33,7 @@ let test_gni_full_candidate_counts_asymmetric_too () =
   let g1 = Graph.relabel g0 (Perm.to_array (Perm.random rng 6)) in
   let inst = Gni_full.make_instance g0 g1 in
   Alcotest.(check int) "asymmetric isomorphic pair: n!" 720
-    (Array.length (Lazy.force inst.Gni_full.candidates))
+    (Array.length (Gs.candidates inst.Gni_full.core))
 
 let test_gni_full_aut_groups () =
   let rng = Rng.create 202 in
@@ -61,8 +61,8 @@ let test_gni_full_single_rep_gap () =
     (Printf.sprintf "yes %.3f > no %.3f" yes_rate no_rate)
     true
     (yes_rate > no_rate +. 0.03);
-  Alcotest.(check bool) "yes >= bound - slack" true (yes_rate >= params.Gni_full.yes_bound -. 0.09);
-  Alcotest.(check bool) "no <= bound + slack" true (no_rate <= params.Gni_full.no_bound +. 0.06)
+  Alcotest.(check bool) "yes >= bound - slack" true (yes_rate >= params.Gs.yes_bound -. 0.09);
+  Alcotest.(check bool) "no <= bound + slack" true (no_rate <= params.Gs.no_bound +. 0.06)
 
 let test_gni_full_verdicts () =
   let rng = Rng.create 204 in
@@ -94,9 +94,65 @@ let test_gni_full_rejects_big_groups () =
   match Gni_full.make_instance star star with
   | exception Invalid_argument _ -> ()
   | inst ->
-    (match Lazy.force inst.Gni_full.candidates with
+    (match Gs.candidates inst.Gni_full.core with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "oversized automorphism group must be refused")
+
+(* --- Outcome fingerprints ------------------------------------------------------- *)
+
+(* Pins (accepted, total bits, max bits per node) of single repetitions and
+   short amplified runs over a grid of seeds, for the honest prover and the
+   fake-automorphism cheat. Any change to the round structure, the params
+   derivation, the candidate order or the local checks moves one of them. *)
+let fingerprint (o : Outcome.t) = (o.Outcome.accepted, o.Outcome.total_bits, o.Outcome.max_bits_per_node)
+
+let fingerprints ~run ~run_single =
+  List.map (fun seed -> fingerprint (run_single seed)) [ 1; 2; 3; 4; 5; 6 ]
+  @ List.map (fun seed -> fingerprint (run seed)) [ 1; 2 ]
+
+let check_fingerprints tag want got =
+  Alcotest.(check (list (triple bool int int))) tag want got
+
+let test_gni_full_fingerprints () =
+  let rng = Rng.create 230 in
+  let yes = Gni_full.yes_instance rng 6 and no = Gni_full.no_instance rng 6 in
+  let params = Gni_full.params_for ~seed:1 yes and short = Gni_full.params_for ~repetitions:6 ~seed:1 yes in
+  let case inst prover =
+    fingerprints
+      ~run:(fun seed -> Gni_full.run ~params:short ~seed inst prover)
+      ~run_single:(fun seed -> Gni_full.run_single ~params ~seed inst prover)
+  in
+  check_fingerprints "honest yes"
+    [ (false, 2076, 346); (false, 2076, 346); (true, 2076, 346); (true, 2076, 346);
+      (false, 2076, 346); (false, 2076, 346); (false, 12456, 2076); (true, 12456, 2076) ]
+    (case yes Gni_full.honest);
+  check_fingerprints "honest no"
+    [ (true, 2076, 346); (false, 2076, 346); (false, 2076, 346); (false, 2076, 346);
+      (false, 2076, 346); (false, 2076, 346); (true, 12456, 2076); (false, 12456, 2076) ]
+    (case no Gni_full.honest);
+  check_fingerprints "fake automorphism no"
+    [ (true, 2076, 346); (false, 2076, 346); (false, 2076, 346); (false, 2076, 346);
+      (false, 2076, 346); (false, 2076, 346); (true, 12456, 2076); (false, 12456, 2076) ]
+    (case no Gni_full.adversary_fake_automorphism)
+
+let test_gni_induced_fingerprints () =
+  let rng = Rng.create 231 in
+  let yes = Gni_induced.yes_instance rng 10 and no = Gni_induced.no_instance rng 10 in
+  let params = Gni_induced.params_for ~seed:1 yes
+  and short = Gni_induced.params_for ~repetitions:6 ~seed:1 yes in
+  let case inst =
+    fingerprints
+      ~run:(fun seed -> Gni_induced.run ~params:short ~seed inst Gni_induced.honest)
+      ~run_single:(fun seed -> Gni_induced.run_single ~params ~seed inst Gni_induced.honest)
+  in
+  check_fingerprints "honest yes"
+    [ (false, 4390, 439); (true, 4390, 439); (false, 4390, 439); (false, 4390, 439);
+      (false, 4390, 439); (false, 4390, 439); (false, 26340, 2634); (true, 26340, 2634) ]
+    (case yes);
+  check_fingerprints "honest no"
+    [ (false, 4390, 439); (false, 4390, 439); (false, 4390, 439); (false, 4390, 439);
+      (false, 4390, 439); (false, 4390, 439); (false, 26340, 2634); (false, 26340, 2634) ]
+    (case no)
 
 (* --- Rpls ------------------------------------------------------------------------ *)
 
@@ -218,9 +274,9 @@ let test_gni_threshold_uses_midpoint () =
   let inst = Gni.yes_instance (Rng.create 3) 6 in
   let params = Gni.params_for ~seed:5 inst in
   Alcotest.(check int) "gni threshold"
-    (Stats.midpoint_threshold ~trials:params.Gni.repetitions
+    (Stats.midpoint_threshold ~trials:params.Gs.repetitions
        ~yes_rate:(Gni.yes_rate_bound params) ~no_rate:(Gni.no_rate_bound params))
-    params.Gni.threshold
+    params.Gs.threshold
 
 let test_amplify_protocol_end_to_end () =
   (* Amplify Protocol 1 to error ~0 on both sides. *)
@@ -243,6 +299,10 @@ let suite =
         Alcotest.test_case "amplified verdicts" `Slow test_gni_full_verdicts;
         Alcotest.test_case "fake automorphism caught by audit" `Slow test_gni_full_fake_automorphism_caught;
         Alcotest.test_case "oversized groups refused" `Quick test_gni_full_rejects_big_groups
+      ] );
+    ( "gni fingerprints",
+      [ Alcotest.test_case "Gni_full outcomes pinned" `Quick test_gni_full_fingerprints;
+        Alcotest.test_case "Gni_induced outcomes pinned" `Quick test_gni_induced_fingerprints
       ] );
     ( "rpls",
       [ Alcotest.test_case "completeness" `Quick test_rpls_completeness;

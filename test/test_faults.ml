@@ -252,17 +252,60 @@ let test_dropped_challenge_rejects () =
 (* Regression: GNI's repetition loop used to compute acceptance from the
    local validity array alone, so drop and crash faults had no effect on its
    outcomes. Drops must now invalidate the affected node for the repetition
-   they occur in, and crashes must be judged per the spec's crash mode. *)
+   they occur in, and crashes must be judged per the spec's crash mode. All
+   three Goldwasser–Sipser variants share that loop (Gs), so each runs the
+   same checks on a YES instance. *)
 
-let gni_instance = lazy (Gni.yes_instance (Rng.create 7) 6)
+type gs_variant = {
+  label : string;
+  repetitions : int;  (** enough for the clean amplified run to accept *)
+  runs :
+    ((?fault:Fault.spec -> int -> Outcome.t) * (repetitions:int -> ?fault:Fault.spec -> int -> Outcome.t))
+    Lazy.t;
+      (** honest single repetition and honest amplified run, by seed *)
+}
 
-let test_gni_drop_degrades () =
-  let inst = Lazy.force gni_instance in
-  let params = Gni.params_for ~seed:11 inst in
+let gs_variants =
+  [ { label = "GNI";
+      repetitions = 400;
+      runs =
+        lazy
+          (let inst = Gni.yes_instance (Rng.create 7) 6 in
+           let params = Gni.params_for ~seed:11 inst in
+           ( (fun ?fault seed -> Gni.run_single ?fault ~params ~seed inst Gni.honest),
+             fun ~repetitions ?fault seed ->
+               Gni.run ?fault ~params:(Gni.params_for ~repetitions ~seed:11 inst) ~seed inst Gni.honest ))
+    };
+    { label = "Gni_full";
+      repetitions = 300;
+      runs =
+        lazy
+          (let inst = Gni_full.yes_instance (Rng.create 7) 6 in
+           let params = Gni_full.params_for ~seed:11 inst in
+           ( (fun ?fault seed -> Gni_full.run_single ?fault ~params ~seed inst Gni_full.honest),
+             fun ~repetitions ?fault seed ->
+               Gni_full.run ?fault ~params:(Gni_full.params_for ~repetitions ~seed:11 inst) ~seed inst
+                 Gni_full.honest ))
+    };
+    { label = "Gni_induced";
+      repetitions = 200;
+      runs =
+        lazy
+          (let inst = Gni_induced.yes_instance (Rng.create 7) 8 in
+           let params = Gni_induced.params_for ~seed:11 inst in
+           ( (fun ?fault seed -> Gni_induced.run_single ?fault ~params ~seed inst Gni_induced.honest),
+             fun ~repetitions ?fault seed ->
+               Gni_induced.run ?fault ~params:(Gni_induced.params_for ~repetitions ~seed:11 inst) ~seed inst
+                 Gni_induced.honest ))
+    }
+  ]
+
+let test_gni_drop_degrades v () =
+  let run_single, _ = Lazy.force v.runs in
   let hits fault =
     let count = ref 0 in
     for seed = 1 to 40 do
-      if (Gni.run_single ?fault ~params ~seed inst Gni.honest).Outcome.accepted then incr count
+      if (run_single ?fault seed).Outcome.accepted then incr count
     done;
     !count
   in
@@ -275,23 +318,29 @@ let test_gni_drop_degrades () =
   (* With every message dropped each node misses some round, so even a
      locally valid repetition cannot be a hit. *)
   Alcotest.(check bool) "total drop rejects" false
-    (Gni.run_single ~fault:(Fault.drop_only 1.0) ~params ~seed:1 inst Gni.honest).Outcome.accepted
+    (run_single ~fault:(Fault.drop_only 1.0) 1).Outcome.accepted
 
-let test_gni_crash_modes () =
-  let inst = Lazy.force gni_instance in
-  let params = Gni.params_for ~repetitions:400 ~seed:11 inst in
-  Alcotest.(check bool) "clean amplified run accepts" true
-    (Gni.run ~params ~seed:1 inst Gni.honest).Outcome.accepted;
+let test_gni_crash_modes v () =
+  let _, run = Lazy.force v.runs in
+  Alcotest.(check bool) "clean amplified run accepts" true (run ~repetitions:v.repetitions 1).Outcome.accepted;
+  (* Crash and total-drop verdicts hold at any repetition count. *)
+  let run = run ~repetitions:20 in
   for seed = 1 to 3 do
     Alcotest.(check bool) "Crash_reject forces rejection" false
-      (Gni.run ~fault:(Fault.crash_only 1.0) ~params ~seed inst Gni.honest).Outcome.accepted;
+      (run ~fault:(Fault.crash_only 1.0) seed).Outcome.accepted;
     Alcotest.(check bool) "Crash_vacuous vacuously accepts" true
-      (Gni.run ~fault:(Fault.crash_only ~crash_mode:Fault.Crash_vacuous 1.0) ~params ~seed inst
-         Gni.honest)
-        .Outcome.accepted;
+      (run ~fault:(Fault.crash_only ~crash_mode:Fault.Crash_vacuous 1.0) seed).Outcome.accepted;
     Alcotest.(check bool) "total drop rejects the amplified run" false
-      (Gni.run ~fault:(Fault.drop_only 1.0) ~params ~seed inst Gni.honest).Outcome.accepted
+      (run ~fault:(Fault.drop_only 1.0) seed).Outcome.accepted
   done
+
+let gni_fault_cases =
+  List.concat_map
+    (fun v ->
+      [ Alcotest.test_case (v.label ^ " completeness degrades under drop") `Slow (test_gni_drop_degrades v);
+        Alcotest.test_case (v.label ^ " crash modes honored") `Slow (test_gni_crash_modes v)
+      ])
+    gs_variants
 
 (* --- corrupt hooks ------------------------------------------------------------- *)
 
@@ -490,11 +539,10 @@ let suite =
         Alcotest.test_case "crash set deterministic" `Quick test_crash_set_deterministic;
         Alcotest.test_case "drop rejects or defaults" `Quick test_drop_rejects_or_defaults;
         Alcotest.test_case "dropped challenge rejects" `Quick test_dropped_challenge_rejects;
-        Alcotest.test_case "GNI completeness degrades under drop" `Slow test_gni_drop_degrades;
-        Alcotest.test_case "GNI crash modes honored" `Slow test_gni_crash_modes;
         Alcotest.test_case "corrupt hooks always change the value" `Quick
           test_corrupt_hooks_change_value
-      ] );
+      ]
+      @ gni_fault_cases );
     ( "adversary-registry",
       [ Alcotest.test_case "lookup and names" `Quick test_registry_lookup;
         Alcotest.test_case "clean completeness/soundness rates" `Slow test_registry_cases_clean_rates;

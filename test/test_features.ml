@@ -190,6 +190,27 @@ let test_sparse6_malformed () =
       ("self-loop", ":BF")
     ]
 
+let test_huge_header_short_payload () =
+  (* An 8-byte header claims up to 2^36 - 1 nodes in 8 bytes. Both decoders
+     must reject a short payload before sizing any allocation by n: graph6
+     by its exact payload length (n(n-1)/2 overflows for the largest n),
+     sparse6 by its node cap. *)
+  let enc8 n = "~~" ^ String.init 6 (fun i -> Char.chr (((n lsr (6 * (5 - i))) land 63) + 63)) in
+  let rejected tag decode s =
+    let before = Gc.allocated_bytes () in
+    (match decode s with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "should reject %s" tag);
+    let used = Gc.allocated_bytes () -. before in
+    Alcotest.(check bool) (Printf.sprintf "%s allocates %.0f bytes" tag used) true (used < 1e6)
+  in
+  List.iter
+    (fun n ->
+      rejected (Printf.sprintf "graph6 n=%d" n) Graph_io.of_graph6 (enc8 n ^ "??");
+      rejected (Printf.sprintf "sparse6 n=%d" n) Graph_io.of_sparse6 (":" ^ enc8 n ^ "??"))
+    [ (1 lsl 36) - 1; 1 lsl 33; 1 lsl 31; Graph_io.sparse6_max_nodes + 1 ];
+  rejected "graph6 n=2^20" Graph_io.of_graph6 (Graph_io.size_header (1 lsl 20) ^ "??")
+
 let test_dot_output () =
   let dot = Graph_io.to_dot ~name:"triangle" (Graph.complete 3) in
   Alcotest.(check bool) "has header" true (String.length dot > 0 && String.sub dot 0 14 = "graph triangle");
@@ -330,8 +351,8 @@ let test_gni_induced_set_sizes () =
   let rng = Rng.create 21 in
   let yes = Gni_induced.yes_instance rng 10 and no = Gni_induced.no_instance rng 10 in
   let p_10_4 = 10 * 9 * 8 * 7 in
-  Alcotest.(check int) "YES candidates" (2 * p_10_4) (Array.length (Lazy.force yes.Gni_induced.candidates));
-  Alcotest.(check int) "NO candidates" p_10_4 (Array.length (Lazy.force no.Gni_induced.candidates))
+  Alcotest.(check int) "YES candidates" (2 * p_10_4) (Array.length (Gs.candidates yes.Gni_induced.core));
+  Alcotest.(check int) "NO candidates" p_10_4 (Array.length (Gs.candidates no.Gni_induced.core))
 
 let test_gni_induced_gap_and_verdicts () =
   let rng = Rng.create 22 in
@@ -384,6 +405,7 @@ let suite =
         Alcotest.test_case "sparse6 long form" `Quick test_sparse6_long_form;
         Alcotest.test_case "sparse6 header/whitespace" `Quick test_sparse6_header_and_whitespace;
         Alcotest.test_case "sparse6 malformed" `Quick test_sparse6_malformed;
+        Alcotest.test_case "huge size header, short payload" `Quick test_huge_header_short_payload;
         Alcotest.test_case "dot output" `Quick test_dot_output;
         qtest prop_graph6_roundtrip;
         qtest prop_sparse6_roundtrip

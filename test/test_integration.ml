@@ -112,8 +112,8 @@ let test_gni_variants_agree () =
   let basic = Gni.make_instance g0 g1 in
   let full = Gni_full.make_instance g0 g1 in
   Alcotest.(check int) "same |S| on asymmetric pairs"
-    (Array.length (Lazy.force basic.Gni.candidates))
-    (Array.length (Lazy.force full.Gni_full.candidates));
+    (Array.length (Gs.candidates basic.Gni.core))
+    (Array.length (Gs.candidates full.Gni_full.core));
   let pb = Gni.params_for ~repetitions:300 ~seed:1 basic in
   let pf = Gni_full.params_for ~repetitions:300 ~seed:1 full in
   Alcotest.(check bool) "basic accepts" true (Gni.run ~params:pb ~seed:2 basic Gni.honest).Outcome.accepted;

@@ -160,6 +160,32 @@ let test_estimates_with_tracing () =
           Alcotest.(check int) (name ^ " accepts untraced") want_accepts quiet.Ids_engine.Engine.accepts)
         (estimate_configs ()))
 
+(* Regression: the honest GNI provers force the instance's candidate set
+   lazily, and OCaml 5's Lazy.force is not domain-safe — two engine workers
+   forcing a fresh set at once made one raise CamlinternalLazy.Undefined.
+   The estimate pins above miss it because their domains = 1 pass forces
+   the set first; here every estimate starts from a fresh instance, with
+   two engine chunks so both workers start at once. *)
+let test_fresh_instance_across_domains () =
+  let fresh_runs =
+    [ ("gni", fun () ->
+        let inst = Gni.yes_instance (Rng.create 7) 6 in
+        fun seed -> Gni.run_single ~seed inst Gni.honest);
+      ("gni_full", fun () ->
+        let inst = Gni_full.yes_instance (Rng.create 7) 6 in
+        fun seed -> Gni_full.run_single ~seed inst Gni_full.honest);
+      ("gni_induced", fun () ->
+        let inst = Gni_induced.yes_instance (Rng.create 7) 8 in
+        fun seed -> Gni_induced.run_single ~seed inst Gni_induced.honest)
+    ]
+  in
+  List.iter
+    (fun (name, fresh) ->
+      let accepts domains = (Stats.acceptance_ci ~domains ~trials:64 (fresh ())).Ids_engine.Engine.accepts in
+      let two = accepts 2 in
+      Alcotest.(check int) (name ^ " fresh instance, domains 2 = domains 1") (accepts 1) two)
+    fresh_runs
+
 (* --- memo layer ---------------------------------------------------------- *)
 
 let check_tree tag (want : Spanning_tree.t) (got : Spanning_tree.t) =
@@ -337,7 +363,8 @@ let suite =
       ] );
     ( "setup:estimates",
       [ Alcotest.test_case "pinned across domain counts" `Quick test_estimates_across_domains;
-        Alcotest.test_case "pinned with tracing on" `Quick test_estimates_with_tracing
+        Alcotest.test_case "pinned with tracing on" `Quick test_estimates_with_tracing;
+        Alcotest.test_case "fresh instance across domains" `Quick test_fresh_instance_across_domains
       ] );
     ( "setup:memo",
       [ Alcotest.test_case "tree cache hit/invalidate" `Quick test_memo_tree;
