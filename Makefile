@@ -20,9 +20,12 @@ test:
 # frame drill), the committed-benchmark trajectory table, the repo
 # benchmark's smoke run (every perfbench workload at a tiny size), and the
 # three GNI experiments at a quarter budget on the default domain count
-# (two workers racing to build an instance's candidate set).
+# (two workers racing to build an instance's candidate set). The suite
+# runs twice: once on the C bignum kernels, once on the pure-OCaml
+# fallback, so the fallback's bit-identity is tested, not assumed.
 check:
 	dune build && dune runtest && \
+	IDS_BIGNUM_KERNEL=ocaml dune test --force && \
 	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e5 e9 e11 && \
 	dune exec bench/modarith/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/setup/main.exe -- --smoke -o /dev/null && \

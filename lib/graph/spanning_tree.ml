@@ -44,6 +44,30 @@ let children_index t =
   done;
   out
 
+(* Counting sort on the distance label: deepest bucket first, ascending
+   vertex order within a bucket. *)
+let leaves_first t =
+  let n = Array.length t.dist in
+  let count = Array.make (n + 1) 0 in
+  Array.iter
+    (fun d ->
+      if d < 0 || d >= n then invalid_arg "Spanning_tree.leaves_first: distance out of range";
+      count.(d) <- count.(d) + 1)
+    t.dist;
+  (* Suffix sums: count.(d + 1) is now the number of vertices deeper than
+     d, which is where bucket d starts; it then serves as its cursor. *)
+  for d = n - 1 downto 0 do
+    count.(d) <- count.(d) + count.(d + 1)
+  done;
+  let order = Array.make n 0 in
+  Array.iteri
+    (fun v d ->
+      let slot = count.(d + 1) in
+      order.(slot) <- v;
+      count.(d + 1) <- slot + 1)
+    t.dist;
+  order
+
 let children t v =
   let acc = ref [] in
   for u = Array.length t.parent - 1 downto 0 do

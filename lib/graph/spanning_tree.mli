@@ -27,6 +27,12 @@ val children_index : t -> int array array
     {!children}. Out-of-range parent labels are skipped, so the index is
     total even on adversarial advice. *)
 
+val leaves_first : t -> int array
+(** Every vertex once, by decreasing distance label (ascending within one
+    distance): an O(n) counting sort, so each vertex comes after all of
+    its BFS descendants. Subtree sums accumulate in this order.
+    @raise Invalid_argument if a distance label is outside [\[0, n)]. *)
+
 val subtree : t -> int -> int list
 (** Vertices of the subtree rooted at [v] (including [v]), ascending.
     Iterative — safe at million-vertex depths. *)

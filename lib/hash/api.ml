@@ -15,6 +15,42 @@ let spec_bits f ~k = ((2 * k) + 1) * f.Field.bits
 
 let row_term f spec ~n ~row s = Array.map (fun a -> Linear.row_hash f a ~n ~row s) spec.points
 
+type 'a tables = ('a array * 'a array) array
+
+let tables f spec ~n = Array.map (fun a -> Linear.row_tables f a ~n) spec.points
+
+(* Keyed by the points alone: faults may corrupt a delivered spec's other
+   fields, and an unfaulted run shares one points array across all nodes,
+   so the physical-equality probe answers every lookup but the first. *)
+let tables_memo f ~n =
+  let tbl = Hashtbl.create 4 and last = ref None in
+  fun spec ->
+    match !last with
+    | Some (points, t) when points == spec.points -> t
+    | _ ->
+      let t =
+        match Hashtbl.find_opt tbl spec.points with
+        | Some t -> t
+        | None ->
+          let t = tables f spec ~n in
+          Hashtbl.add tbl spec.points t;
+          t
+      in
+      last := Some (spec.points, t);
+      t
+
+(* Row v with content N[v], the open neighbourhood folded onto v's own
+   entry: the same field element as over Graph.closed_neighborhood (the
+   sum is exact), minus a set copy and sorted insert per call. *)
+let node_term_into f tabs g v dst off =
+  let nbrs = Graph.neighbors g v in
+  for i = 0 to Array.length tabs - 1 do
+    let lo, hi = tabs.(i) in
+    if Array.length lo <> Graph.n g + 1 then invalid_arg "Api.node_term_into: tables built for another n";
+    let s = Ids_graph.Bitset.fold (fun w acc -> f.Field.add acc lo.(w + 1)) nbrs lo.(v + 1) in
+    dst.(off + i) <- f.Field.mul hi.(v) s
+  done
+
 let combine f x y =
   if Array.length x <> Array.length y then invalid_arg "Api.combine: arity mismatch";
   Array.mapi (fun i xi -> f.Field.add xi y.(i)) x

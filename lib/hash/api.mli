@@ -47,6 +47,35 @@ val row_term : 'a Field.t -> 'a spec -> n:int -> row:int -> Ids_graph.Bitset.t -
     [(h_{a_i}(\[row, s\]))_i]. This is what a single network node computes
     locally for the row it owns. *)
 
+(** {2 Tabled row terms}
+
+    {!row_term} recomputes every power it needs. A node or prover that
+    evaluates many rows under one spec instead builds, per inner point
+    [a_i], the two tables of {!Linear.row_tables}: [lo_i = a_i^0 .. a_i^n]
+    and [hi_i = (a_i^n)^0 .. (a_i^n)^(n-1)], [2k(n+1)] field elements in
+    all. Copy [i] of row [v]'s term is then
+    [hi_i.(v) * sum_{w in s} lo_i.(w + 1)]: one multiplication and [|s|]
+    additions, and the same field element as {!row_term}. *)
+
+type 'a tables
+(** Per-copy power tables for one spec's inner points. *)
+
+val tables : 'a Field.t -> 'a spec -> n:int -> 'a tables
+(** Build the tables for an [n x n] matrix. Only [spec.points] is read. *)
+
+val tables_memo : 'a Field.t -> n:int -> 'a spec -> 'a tables
+(** [tables_memo f ~n] is a caching [fun spec -> tables f spec ~n], keyed
+    by [spec.points]: one set of tables per distinct point vector. Like
+    {!Linear.powers_memo}, use one memo per execution. *)
+
+val node_term_into : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> int -> 'a array -> int -> unit
+(** [node_term_into f t g v dst off] writes node [v]'s k-vector
+    [row_term f spec ~n ~row:v (Graph.closed_neighborhood g v)] into
+    [dst.(off) .. dst.(off + k - 1)], where [t = tables f spec ~n]. It
+    reads [g]'s shared adjacency row and builds no set.
+    @raise Invalid_argument if [v] is not a vertex of [g] or [t] was
+    built for another [n]. *)
+
 val combine : 'a Field.t -> 'a array -> 'a array -> 'a array
 (** Pointwise field addition: the spanning-tree aggregation step. *)
 

@@ -59,6 +59,12 @@ let int62_field p =
      widening kernel, and sums are rearranged so no intermediate leaves the
      63-bit native range ((a - p) + b is in (-2^62, 2^62)). *)
   let mul a b = Ids_bignum.Kernel.mulmod62 a b p in
+  (* Canonical residue without leaving the native range: for p > 2^61 the
+     textbook ((k mod p) + p) mod p overflows max_int on every k mod p > 56. *)
+  let reduce k =
+    let r = k mod p in
+    if r < 0 then r + p else r
+  in
   let pow_int a e =
     let rec go acc base e =
       if e = 0 then acc
@@ -67,7 +73,7 @@ let int62_field p =
         go acc (mul base base) (e lsr 1)
       end
     in
-    if e < 0 then invalid_arg "pow_int: negative exponent" else go 1 (((a mod p) + p) mod p) e
+    if e < 0 then invalid_arg "pow_int: negative exponent" else go 1 (reduce a) e
   in
   let bits = max 1 (Nat.bit_length (Nat.of_int (p - 1))) in
   let random rng =
@@ -88,7 +94,7 @@ let int62_field p =
     sub = (fun a b -> if a >= b then a - b else a - b + p);
     mul;
     equal = Int.equal;
-    of_int = (fun k -> ((k mod p) + p) mod p);
+    of_int = reduce;
     pow_int;
     random;
     to_string = string_of_int

@@ -49,6 +49,12 @@ let row_hash_pow f ~powers ~n ~row s =
   if row < 0 || row >= n then invalid_arg "Linear.row_hash_pow: row out of range";
   f.Field.mul powers.(row * n) (row_poly_pow f ~powers s)
 
+(* Two short tables instead of one of length n² + n + 1: a^(row·n) is
+   (a^n)^row, read from the second. Shared by every row of one index. *)
+let row_tables f a ~n =
+  let lo = powers f a n in
+  (lo, powers f lo.(n) (n - 1))
+
 let graph_hash_pow f ~powers g =
   let n = Graph.n g in
   let acc = ref f.Field.zero in

@@ -62,5 +62,23 @@ val row_hash_pow : 'a Field.t -> powers:'a array -> n:int -> row:int -> Ids_grap
 
 val graph_hash_pow : 'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> 'a
 
+(** {1 Two-table row evaluation}
+
+    One matrix row needs only [a^1 .. a^n] for its content and
+    [a^(row*n)] for its position. Writing [a^(row*n) = (a^n)^row], two
+    tables of about [n] entries each serve every row of an [n x n] matrix
+    at one index, against [n^2 + n + 1] entries for {!powers}:
+
+    {v h_a([v, s]) = hi.(v) * sum_{w in s} lo.(w + 1) v}
+
+    is one table read, one multiplication and [|s|] additions, and the
+    same field element as {!row_hash}. {!Api.node_term_into} evaluates
+    the eps-API hash's row terms this way. *)
+
+val row_tables : 'a Field.t -> 'a -> n:int -> 'a array * 'a array
+(** [row_tables f a ~n] is [(lo, hi)] with [lo = powers f a n]
+    ([a^0 .. a^n]) and [hi = powers f (a^n) (n - 1)]
+    ([(a^n)^0 .. (a^n)^(n-1)]). *)
+
 val permuted_graph_hash_pow :
   'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> 'a

@@ -19,19 +19,24 @@ let subtree_equation f ~own ~claimed ~children v =
   let expected = List.fold_left (fun acc u -> f.Ids_hash.Field.add acc claimed.(u)) own children in
   f.Ids_hash.Field.equal claimed.(v) expected
 
-let honest_sums f tree ~term =
-  let n = Array.length tree.Spanning_tree.parent in
-  let sums = Array.make n f.Ids_hash.Field.zero in
-  (* Accumulate leaves-first: order vertices by decreasing distance. The
-     one-pass children index replaces a per-vertex parent scan that summed
-     to O(n²) — at n = 10⁶ the difference between seconds and weeks. Child
-     visit order (ascending) is unchanged, so sums are bit-identical. *)
-  let index = Spanning_tree.children_index tree in
-  let order = Array.init n Fun.id in
-  Array.sort (fun u v -> Stdlib.compare tree.Spanning_tree.dist.(v) tree.Spanning_tree.dist.(u)) order;
+(* Leaves first, each vertex pushes its finished k-vector into its
+   parent's slot. The labelled root, and a vertex whose parent label is
+   itself or out of range, push nothing. Field addition is exact, so the
+   order children arrive in cannot change a sum. *)
+let accumulate f tree ~k sums =
+  let parent = tree.Spanning_tree.parent and root = tree.Spanning_tree.root in
+  let n = Array.length parent in
+  if Array.length sums <> n * k then invalid_arg "Aggregation.accumulate: need n * k slots";
   Array.iter
     (fun v ->
-      sums.(v) <-
-        Array.fold_left (fun acc u -> f.Ids_hash.Field.add acc sums.(u)) (term v) index.(v))
-    order;
+      let p = parent.(v) in
+      if v <> root && p <> v && in_range n p then
+        for i = 0 to k - 1 do
+          sums.((p * k) + i) <- f.Ids_hash.Field.add sums.((p * k) + i) sums.((v * k) + i)
+        done)
+    (Spanning_tree.leaves_first tree)
+
+let honest_sums f tree ~term =
+  let sums = Array.init (Array.length tree.Spanning_tree.parent) term in
+  accumulate f tree ~k:1 sums;
   sums

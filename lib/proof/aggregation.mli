@@ -25,6 +25,13 @@ val subtree_equation :
 (** The Line-3 check at node [v]:
     [claimed.(v) = own + sum_{u in children} claimed.(u)]. *)
 
+val accumulate : 'a Ids_hash.Field.t -> Ids_graph.Spanning_tree.t -> k:int -> 'a array -> unit
+(** Prover-side, in place: [sums] holds [k] per-node terms flattened
+    ([sums.((v * k) + i)] is copy [i] at [v]); on return each slot holds
+    the subtree aggregate of its copy. One leaves-first pass
+    ({!Ids_graph.Spanning_tree.leaves_first}) serves all [k] copies.
+    @raise Invalid_argument if [Array.length sums <> n * k]. *)
+
 val honest_sums : 'a Ids_hash.Field.t -> Ids_graph.Spanning_tree.t -> term:(int -> 'a) -> 'a array
 (** Prover-side: for every [v], the true subtree aggregate
     [sum_{u in T_v} term u]. *)

@@ -84,16 +84,19 @@ let honest_advice params (spec : int Api.spec) ~root g =
   let n = Graph.n g in
   let f = params.field and k = params.copies in
   let tree = Spanning_tree.bfs g root in
-  let term v = Api.row_term f spec ~n ~row:v (Graph.closed_neighborhood g v) in
-  (* One scalar aggregation per inner copy; each [term] call touches one
-     node's O(degree) view and is released before the next. *)
-  let per_copy = Array.init k (fun i -> Aggregation.honest_sums f tree ~term:(fun v -> (term v).(i))) in
-  let agg = Array.init (n * k) (fun j -> per_copy.(j mod k).(j / k)) in
+  (* Each node's k-vector is computed once, straight into its flat slot,
+     then the subtree sums accumulate in place. *)
+  let tables = Api.tables f spec ~n in
+  let agg = Array.make (n * k) 0 in
+  for v = 0 to n - 1 do
+    Api.node_term_into f tables g v agg (v * k)
+  done;
+  Aggregation.accumulate f tree ~k agg;
   { root;
     parent = tree.Spanning_tree.parent;
     dist = tree.Spanning_tree.dist;
     agg;
-    claim = Api.finalize f spec (Array.init k (fun i -> per_copy.(i).(root)))
+    claim = Api.finalize f spec (Array.sub agg (root * k) k)
   }
 
 type prover = params -> int Api.spec -> root:int -> Graph.t -> advice
@@ -136,12 +139,17 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   let net = Network.create ?fault ~seed g in
   let spec_bits = Api.spec_bits f ~k in
   (* Arthur: every node draws a spec; the root's draw is the shared one the
-     prover must echo. Streamed — n - 1 of the draws die immediately. *)
-  let root_spec =
-    Network.challenge_fold net ~bits:spec_bits ~gen:(Api.random_spec f ~k) ~init:None
+     prover must echo. Each node's draw comes from its own generator, split
+     off in node order, and only the root's is ever read: the fold keeps
+     the root's generator and draws the one spec from it, the same value as
+     drawing all n. The other n - 1 draws would cost a rejection loop per
+     field element whose length depends on how close q lies to a power of
+     two, i.e. on the seed. *)
+  let root_rng =
+    Network.challenge_fold net ~bits:spec_bits ~gen:Fun.id ~init:None
       (fun acc view -> if view.Network.node = root then Some view.Network.value else acc)
   in
-  let root_spec = Option.get root_spec in
+  let root_spec = Api.random_spec f ~k (Option.get root_rng) in
   let a = prover params root_spec ~root g in
   (* Merlin broadcasts. Delivered copies land in one pointer/int slot per
      node; unfaulted runs share a single spec record across all n slots. *)
@@ -193,6 +201,10 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   (* Local verification, one node at a time inside decide. *)
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
+  (* Power tables per delivered point vector (one set on an honest run),
+     and one k-slot scratch for the node being checked. *)
+  let tables_of = Api.tables_memo f ~n in
+  let term = Array.make k 0 in
   let check v =
     let nbrs_consistent =
       Ids_graph.Bitset.fold
@@ -222,7 +234,7 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
     &&
     (* Own term from the shared O(degree) row, then the Lemma 3.3 subtree
        equation per inner copy. *)
-    let term = Api.row_term f spec ~n ~row:v (Graph.closed_neighborhood g v) in
+    let () = Api.node_term_into f (tables_of spec) g v term 0 in
     let children = Aggregation.children g ~parent:parent_bc v in
     let copy_ok i =
       let expected =

@@ -7,7 +7,9 @@
     of the [k] inner row hashes, and the claimed hash; each node then checks
     its tree labels, recomputes its own row term from its O(degree) view,
     and verifies the Lemma 3.3 subtree equation, with the root applying the
-    outer layer. Completeness is exact; a wrong claim or any tampered
+    outer layer. Prover and verifier both evaluate row terms from per-copy
+    power tables ({!Ids_hash.Api.tables}), so each node's k-vector costs
+    O(k · degree) field operations and is computed once on each side. Completeness is exact; a wrong claim or any tampered
     aggregate breaks an equation at some node.
 
     Every round runs over {!Ids_network.Network}'s streamed views, so the
@@ -20,9 +22,13 @@ type params = { q : int; field : int Ids_hash.Field.t; copies : int }
 val params_for : ?k:int -> seed:int -> Ids_graph.Graph.t -> params
 (** Modulus and copy count for a graph: a seeded random prime in
     [\[4 m^(3/2), 8 m^(3/2)\]] for [m = n² + n] — the least growth rate
-    with [eps < 1] at [k = 3] — when that fits the native-int field, else
-    a fixed prime just below [2^30] (the scale path measures completeness
-    and throughput, which hold for every [q]; see the DESIGN.md
+    with [eps < 1] at [k = 3]. Below [2^31] the field is
+    {!Ids_hash.Field.int_field}, above it {!Ids_hash.Field.int62_field}.
+    For [m <= 2^40] the prime is drawn from that interval (its upper end
+    clamped to [max_int] where it overflows). Past [m = 2^40] the interval
+    itself leaves the native range and [q] is fixed at [2^62 - 57], the
+    largest prime below [2^62]: completeness holds for every [q], and
+    soundness degrades only past that point (see the DESIGN.md
     discussion). [k] defaults to {!Ids_hash.Api.default_copies}.
     @raise Invalid_argument if [k < 1]. *)
 

@@ -42,6 +42,16 @@ let test_int62_field_ops () =
   (* Fermat: a^(p-1) = 1 via pow_int's square-and-multiply over 62 bits.
      p - 1 fits the native exponent argument exactly. *)
   Alcotest.(check int) "Fermat a^(p-1) = 1" 1 (f62.Field.pow_int 1234567891011 (p62 - 1));
+  (* At this modulus ((k mod p) + p) overflows max_int for every
+     k mod p > 56, so reduction must not take that route. Each value below
+     is checked against the multiplication kernel or exact arithmetic. *)
+  let big = p62 - 12345 in
+  Alcotest.(check int) "pow_int big^2 = mul" (f62.Field.mul big big) (f62.Field.pow_int big 2);
+  Alcotest.(check int) "pow_int big^3 = mul" (f62.Field.mul big (f62.Field.mul big big)) (f62.Field.pow_int big 3);
+  Alcotest.(check int) "pow_int (-1)^2" 1 (f62.Field.pow_int (-1) 2);
+  Alcotest.(check int) "of_int 57" 57 (f62.Field.of_int 57);
+  Alcotest.(check int) "of_int max_int" 56 (f62.Field.of_int max_int);
+  Alcotest.(check int) "of_int min_int" (p62 - 57) (f62.Field.of_int min_int);
   (* Agreement with int_field where both are defined. *)
   let f_a = Field.int_field 10007 and f_b = Field.int62_field 10007 in
   for a = 9990 to 10006 do

@@ -9,6 +9,8 @@ module Rng = Ids_bignum.Rng
 open Ids_graph
 module Field = Ids_hash.Field
 module Linear = Ids_hash.Linear
+module Api = Ids_hash.Api
+module Aggregation = Ids_proof.Aggregation
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -119,6 +121,77 @@ let prop_hash_row_shift =
       let a = f.Field.random rng in
       let s = Bitset.of_list 6 [ 0; 2; 5 ] in
       Linear.row_hash f a ~n:6 ~row:3 s = f.Field.mul (f.Field.pow_int a 6) (Linear.row_hash f a ~n:6 ~row:2 s))
+
+(* The tabled node term against the closed form, in one field: random
+   size, spec and copy count; the first, last or an interior row; a graph
+   with no edges (each row's content is the vertex alone), a complete one
+   (full rows) or a random one, dense or sparse; sometimes a point is 0 or
+   1. Written at an offset so the slot arithmetic is checked too. *)
+let tabled_term_matches (type a) (f : a Field.t) seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 12 and k = 1 + Rng.int rng 4 in
+  let spec = Api.random_spec f ~k rng in
+  (match Rng.int rng 4 with
+   | 0 -> spec.Api.points.(0) <- f.Field.zero
+   | 1 -> spec.Api.points.(0) <- f.Field.one
+   | _ -> ());
+  let row = match Rng.int rng 3 with 0 -> 0 | 1 -> n - 1 | _ -> Rng.int rng n in
+  let repr = if Rng.bool rng then Graph.Sparse else Graph.Dense in
+  let density = match Rng.int rng 3 with 0 -> 0. | 1 -> 1. | _ -> Rng.float rng in
+  let g = Graph.random_gnp ~repr rng n density in
+  let want = Api.row_term f spec ~n ~row (Graph.closed_neighborhood g row) in
+  let got = Array.make (k + 2) f.Field.one in
+  Api.node_term_into f (Api.tables f spec ~n) g row got 1;
+  f.Field.equal got.(0) f.Field.one
+  && f.Field.equal got.(k + 1) f.Field.one
+  && Array.for_all2 f.Field.equal want (Array.sub got 1 k)
+
+let prop_tabled_term_int =
+  QCheck.Test.make ~name:"Api: tabled node term = row_term (int field)" ~count:200 arb_seed
+    (tabled_term_matches (Field.int_field 2147483647))
+
+(* Near the largest modulus the scale path uses (2^62 - 57, the Apihash cap). *)
+let prop_tabled_term_int62 =
+  QCheck.Test.make ~name:"Api: tabled node term = row_term (int62 field)" ~count:200 arb_seed
+    (tabled_term_matches (Field.int62_field 4611686018427387847))
+
+let prop_tabled_term_nat =
+  QCheck.Test.make ~name:"Api: tabled node term = row_term (nat field)" ~count:100 arb_seed
+    (tabled_term_matches (Field.nat_field (Nat.of_string "170141183460469231731687303715884105727")))
+
+(* In-place k-wide accumulation against k scalar honest_sums and a naive
+   recursive subtree sum, on random BFS trees. A quarter of the trees carry
+   a root label other than the BFS root, the shape a split-root prover
+   hands its own sums helper: that vertex's subtree then stays off its
+   parent, and the BFS root's self-parent adds nothing. *)
+let prop_accumulate_matches_scalar =
+  QCheck.Test.make ~name:"Aggregation: k-wide accumulate = k honest_sums" ~count:200 arb_seed
+    (fun seed ->
+      let rng = Rng.create seed in
+      let f = Field.int_field 10007 in
+      let n = 1 + Rng.int rng 30 and k = 1 + Rng.int rng 4 in
+      let g =
+        if Rng.bool rng then Graph.random_tree rng n else Graph.random_connected_gnp rng n 0.2
+      in
+      let tree = Spanning_tree.bfs g (Rng.int rng n) in
+      let tree = if Rng.int rng 4 = 0 then { tree with Spanning_tree.root = Rng.int rng n } else tree in
+      let terms = Array.init (n * k) (fun _ -> f.Field.random rng) in
+      let wide = Array.copy terms in
+      Aggregation.accumulate f tree ~k wide;
+      let parent = tree.Spanning_tree.parent in
+      let kids v = List.filter (fun u -> parent.(u) = v && u <> v && u <> tree.Spanning_tree.root) (List.init n Fun.id) in
+      let rec naive i v = List.fold_left (fun acc u -> f.Field.add acc (naive i u)) terms.((v * k) + i) (kids v) in
+      let order = Spanning_tree.leaves_first tree in
+      let dist = tree.Spanning_tree.dist in
+      List.sort compare (Array.to_list order) = List.init n Fun.id
+      && Array.for_all Fun.id (Array.init (n - 1) (fun j -> dist.(order.(j)) >= dist.(order.(j + 1))))
+      && List.for_all
+           (fun i ->
+             let scalar = Aggregation.honest_sums f tree ~term:(fun v -> terms.((v * k) + i)) in
+             List.for_all
+               (fun v -> scalar.(v) = wide.((v * k) + i) && scalar.(v) = naive i v)
+               (List.init n Fun.id))
+           (List.init k Fun.id))
 
 (* --- graph structure --------------------------------------------------------------- *)
 
@@ -267,7 +340,15 @@ let suite =
       List.map qtest
         [ prop_field_ring_laws; prop_field_fermat_inverse; prop_field_pow_hom; prop_field_carriers_agree ] );
     ( "properties:hash",
-      List.map qtest [ prop_hash_identity_perm; prop_hash_duplicate_rows_double; prop_hash_row_shift ] );
+      List.map qtest
+        [ prop_hash_identity_perm;
+          prop_hash_duplicate_rows_double;
+          prop_hash_row_shift;
+          prop_tabled_term_int;
+          prop_tabled_term_int62;
+          prop_tabled_term_nat
+        ] );
+    ("properties:agg", List.map qtest [ prop_accumulate_matches_scalar ]);
     ( "properties:graph",
       Alcotest.test_case "hypercube automorphisms" `Quick test_hypercube_automorphisms
       :: Alcotest.test_case "spanning tree edge count" `Quick test_spanning_tree_edge_count

@@ -234,6 +234,78 @@ let test_apihash_faults () =
   let bare = Apihash.run ~seed:5 ~root:0 g in
   checkb "zero-rate spec bit-identical" true (clean = bare)
 
+(* The full Outcome.t of every (graph, prover/fault, seed) cell, recorded
+   before the hash layer moved to power tables: the tabled row terms and
+   the in-place k-wide aggregation are exact field arithmetic, so not one
+   verdict or bit count may move. The vacuous-crash cells accept, so they
+   pin the verifier's subtree equations on a faulted run. *)
+let apihash_outcome_pins =
+  [ ("expander64", "honest", [ (1, true, 396, 249, 25344); (2, true, 396, 249, 25344); (3, true, 396, 249, 25344) ]);
+    ("expander64", "wrong_claim", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
+    ("expander64", "corrupt_agg", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
+    ("expander64", "drop0.1", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
+    ("expander64", "equivocate", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
+    ("expander64", "crash_vacuous0.05", [ (1, true, 396, 249, 23760); (2, true, 396, 249, 24156); (3, true, 396, 249, 24552) ]);
+    ("expander64", "corrupt0.01", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
+    ("grid6x6", "honest", [ (1, true, 342, 216, 12312); (2, true, 360, 227, 12960); (3, true, 360, 227, 12960) ]);
+    ("grid6x6", "wrong_claim", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
+    ("grid6x6", "corrupt_agg", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
+    ("grid6x6", "drop0.1", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
+    ("grid6x6", "equivocate", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
+    ("grid6x6", "crash_vacuous0.05", [ (1, true, 342, 216, 11628); (2, true, 360, 227, 12240); (3, true, 360, 227, 12960) ]);
+    ("grid6x6", "corrupt0.01", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ])
+  ]
+
+let test_apihash_outcome_pins () =
+  let graphs = [ ("expander64", Family.expander (Rng.create 4) ~n:64 ~degree:4); ("grid6x6", Graph.grid 6 6) ] in
+  let cases =
+    [ ("honest", None, None);
+      ("wrong_claim", Some Apihash.adversary_wrong_claim, None);
+      ("corrupt_agg", Some (Apihash.adversary_corrupt_agg 17), None);
+      ("drop0.1", None, Some (Fault.drop_only 0.1));
+      ("equivocate", None, Some Fault.equivocate_only);
+      ("crash_vacuous0.05", None, Some (Fault.crash_only ~crash_mode:Fault.Crash_vacuous 0.05));
+      ("corrupt0.01", None, Some (Fault.corrupt_only 0.01))
+    ]
+  in
+  List.iter
+    (fun (gname, cname, cells) ->
+      let g = List.assoc gname graphs in
+      let _, prover, fault = List.find (fun (c, _, _) -> c = cname) cases in
+      List.iter
+        (fun (seed, accepted, max_bits_per_node, max_response_bits, total_bits) ->
+          let want = { Outcome.accepted; max_bits_per_node; max_response_bits; total_bits; prover = "apihash" } in
+          let got = Apihash.run ?fault ?prover ~seed ~root:0 g in
+          checkb (Printf.sprintf "%s %s seed=%d outcome pinned" gname cname seed) true (got = want))
+        cells)
+    apihash_outcome_pins
+
+(* Arthur's round keeps only the root's generator and draws the shared
+   spec from it; that spec must be the root's entry of the array
+   primitive, which draws at every node, on clean and faulted runs and at
+   a root other than 0. The Outcome pins above cannot see the spec's
+   value: an honest run accepts whatever was drawn. *)
+let test_apihash_root_spec () =
+  let graphs = [ Family.expander (Rng.create 4) ~n:64 ~degree:4; Graph.grid 6 6 ] in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (seed, root, fault) ->
+          let f = (Apihash.params_for ~seed g).Apihash.field and k = Ids_hash.Api.default_copies in
+          let drawn = ref None in
+          let prover params spec ~root g =
+            drawn := Some spec;
+            Apihash.honest params spec ~root g
+          in
+          ignore (Apihash.run ?fault ~prover ~seed ~root g);
+          let want =
+            (Network.challenge (Network.create ?fault ~seed g) ~bits:(Ids_hash.Api.spec_bits f ~k)
+               (Ids_hash.Api.random_spec f ~k)).(root)
+          in
+          checkb (Printf.sprintf "n=%d seed=%d root=%d spec" (Graph.n g) seed root) true (!drawn = Some want))
+        [ (1, 0, None); (2, 0, None); (3, 5, None); (4, 0, Some (Fault.drop_only 0.1)); (5, 17, Some (Fault.drop_only 0.1)) ])
+    graphs
+
 let test_apihash_rejects_bad_root () =
   Alcotest.check_raises "root out of range" (Invalid_argument "Apihash.run: root out of range")
     (fun () -> ignore (Apihash.run ~seed:1 ~root:9 (Graph.path 3)))
@@ -275,10 +347,26 @@ let test_bench_scale_shape () =
           | None -> Alcotest.failf "BENCH_scale.json: missing %s.%s" proto k
         in
         checkb (proto ^ " accepted") true (sub "accepted" = Ids_obs.Json.Bool true);
-        match Ids_obs.Json.to_float (sub "nodes_per_sec") with
-        | Some r -> checkb (proto ^ " nodes_per_sec positive") true (r > 0.)
-        | None -> Alcotest.failf "BENCH_scale.json: %s.nodes_per_sec not a number" proto)
-      [ "pls_tree"; "apihash" ]
+        let num k =
+          match Ids_obs.Json.to_float (sub k) with
+          | Some r -> r
+          | None -> Alcotest.failf "BENCH_scale.json: %s.%s not a number" proto k
+        in
+        checkb (proto ^ " nodes_per_sec positive") true (num "nodes_per_sec" > 0.);
+        (* The timing spread: run count, then best <= median <= max, with
+           the headline seconds being the best run. *)
+        checkb (proto ^ " runs >= 1") true (num "runs" >= 1.);
+        checkb (proto ^ " best <= median <= max") true
+          (0. < num "best_seconds"
+          && num "best_seconds" <= num "median_seconds"
+          && num "median_seconds" <= num "max_seconds");
+        checkb (proto ^ " seconds is the best run") true (num "seconds" = num "best_seconds"))
+      [ "pls_tree"; "apihash" ];
+    (* The committed Apihash figure is a best of at least three. *)
+    checkb "apihash best of >= 3" true
+      (match Option.bind (Option.bind (mem "apihash") (Ids_obs.Json.member "runs")) Ids_obs.Json.to_int with
+       | Some r -> r >= 3
+       | None -> false)
 
 let suite =
   [ ( "scale",
@@ -293,6 +381,8 @@ let suite =
         Alcotest.test_case "apihash rejects tampered advice" `Quick test_apihash_soundness;
         Alcotest.test_case "apihash under faults" `Quick test_apihash_faults;
         Alcotest.test_case "apihash root validation" `Quick test_apihash_rejects_bad_root;
-        Alcotest.test_case "BENCH_scale.json shape" `Quick test_bench_scale_shape
+        Alcotest.test_case "apihash outcome pin matrix" `Quick test_apihash_outcome_pins;
+        Alcotest.test_case "BENCH_scale.json shape" `Quick test_bench_scale_shape;
+        Alcotest.test_case "apihash spec = root's draw" `Quick test_apihash_root_spec
       ] )
   ]
