@@ -84,7 +84,7 @@ serve-smoke:
 	dune exec bench/serve/main.exe -- --smoke
 
 # E19: the million-node scale run — degree-4 sparse expander through the
-# spanning-tree PLS and the streamed Section 4 eps-API hash, end to end,
+# spanning-tree PLS and the Section 4 eps-API hash, end to end,
 # with nodes/sec and peak RSS. Regenerates BENCH_scale.json. --smoke
 # (n = 10^4, also wired into @runtest-fast and `make check`) adds the
 # peak-RSS bound and the dense/sparse bit-identity assertion.

@@ -144,19 +144,6 @@ let unicast t ?corrupt ?on_drop ~bits responses =
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
       apply_faults t ?corrupt ?on_drop ~round ~equivocable:false responses)
 
-let unicast_varbits t ?corrupt ?on_drop ~bits responses =
-  check_length t responses;
-  let round = next_round t in
-  Obs.span ~round "net.unicast" (fun () ->
-      Array.iteri
-        (fun v _ ->
-          if not (crashed t v) then begin
-            Cost.charge_from_prover t.cost v (bits v);
-            Obs.Counter.add_cell c_from_prover ~round ~node:v (bits v)
-          end)
-        responses;
-      apply_faults t ?corrupt ?on_drop ~round ~equivocable:false responses)
-
 let broadcast t ?corrupt ?on_drop ~bits responses =
   check_length t responses;
   let round = next_round t in
@@ -175,141 +162,6 @@ let broadcast_consistent_at ?(equal = fun a b -> a = b) t values v =
     (fun u -> if (not (crashed t u)) && not (equal values.(u) values.(v)) then ok := false)
     (Graph.neighbors t.graph v);
   !ok
-
-(* --- streamed per-node views ----------------------------------------------
-
-   The array primitives above materialize one slot per node, which is fine
-   for the paper's small instances but holds every node's challenge or
-   response live for the whole round. The folds below visit nodes 0..n-1 in
-   order, build each node's view on demand (its graph row is shared, not
-   copied — O(degree) resident for sparse-backed graphs), apply the fault
-   layer per node, and release the view before moving on. Randomness
-   consumption is identical to the array primitives: challenge draws split
-   the main generator per node in the same order, and fault decisions come
-   from streams keyed by (seed, round, node) — so a protocol computing the
-   same function over a streamed round is bit-identical to the array form. *)
-
-type 'c node_view = {
-  node : int;
-  degree : int;
-  neighbors : Ids_graph.Bitset.t;
-  value : 'c;
-  dropped : bool;
-}
-
-let make_view t v value ~dropped =
-  let nbrs = Graph.neighbors t.graph v in
-  { node = v; degree = Bitset.cardinal nbrs; neighbors = nbrs; value; dropped }
-
-let view t v = make_view t v () ~dropped:false
-
-let fold_views t ~init f =
-  let acc = ref init in
-  for v = 0 to n t - 1 do
-    acc := f !acc (view t v)
-  done;
-  !acc
-
-let challenge_fold t ~bits ~gen ~init f =
-  let round = next_round t in
-  Obs.span ~round "net.challenge" (fun () ->
-      if Obs.enabled () then begin
-        Obs.Counter.add c_draws (n t);
-        Obs.Histo.observe h_msg_bits bits
-      end;
-      let fround = match t.fault with None -> 0 | Some fl -> Fault.next_round fl in
-      let acc = ref init in
-      for v = 0 to n t - 1 do
-        if not (crashed t v) then begin
-          Cost.charge_to_prover t.cost v bits;
-          Obs.Counter.add_cell c_to_prover ~round ~node:v bits
-        end;
-        (* Same split order as the array primitive: one child generator per
-           node, drawn in node order with nothing interleaved. *)
-        let c = gen (Rng.split t.rng) in
-        let dropped =
-          match t.fault with
-          | None -> false
-          | Some fl -> (
-            Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
-            match Fault.deliver fl ~round:fround ~node:v c with
-            | Fault.Dropped ->
-              t.missed.(v) <- true;
-              Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
-              true
-            | Fault.Delivered _ -> false)
-        in
-        acc := f !acc (make_view t v c ~dropped)
-      done;
-      !acc)
-
-(* Shared per-node delivery for the streamed response rounds. The
-   equivocation victim (broadcast only) is resolved up front from the same
-   keyed stream the array path uses, then applied to the victim's delivered
-   copy — drop/corrupt and the equivocation attack compose exactly as in
-   [apply_faults]. *)
-let response_fold t ?corrupt ?on_drop ~equivocable ~charge ~respond ~init f =
-  let round = next_round t in
-  let fround = match t.fault with None -> 0 | Some fl -> Fault.next_round fl in
-  let equiv =
-    match t.fault with
-    | Some fl when equivocable -> (
-      match (corrupt, Fault.equivocation fl ~round:fround ~n:(n t)) with
-      | Some c, Some (victim, rng) -> Some (victim, c, rng)
-      | _ -> None)
-    | _ -> None
-  in
-  let acc = ref init in
-  for v = 0 to n t - 1 do
-    charge ~round v;
-    let sent = respond v in
-    let delivered, dropped =
-      match t.fault with
-      | None -> (sent, false)
-      | Some fl -> (
-        Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
-        match Fault.deliver fl ~round:fround ~node:v ?corrupt sent with
-        | Fault.Delivered x -> (x, false)
-        | Fault.Dropped -> (
-          Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
-          match on_drop with
-          | Some d -> (d, true)
-          | None ->
-            t.missed.(v) <- true;
-            (sent, true)))
-    in
-    let delivered =
-      match equiv with
-      | Some (victim, c, rng) when victim = v -> c rng delivered
-      | _ -> delivered
-    in
-    acc := f !acc (make_view t v delivered ~dropped)
-  done;
-  !acc
-
-let unicast_fold t ?corrupt ?on_drop ~bits ~respond ~init f =
-  Obs.span ~round:(current_round t + 1) "net.unicast" (fun () ->
-      if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      let charge ~round v =
-        if not (crashed t v) then begin
-          Cost.charge_from_prover t.cost v bits;
-          Obs.Counter.add_cell c_from_prover ~round ~node:v bits
-        end
-      in
-      response_fold t ?corrupt ?on_drop ~equivocable:false ~charge ~respond ~init f)
-
-let broadcast_fold t ?corrupt ?on_drop ~bits value ~init f =
-  Obs.span ~round:(current_round t + 1) "net.broadcast" (fun () ->
-      if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      let charge ~round v =
-        if not (crashed t v) then begin
-          Cost.charge_from_prover t.cost v bits;
-          Obs.Counter.add_cell c_from_prover ~round ~node:v bits
-        end
-      in
-      response_fold t ?corrupt ?on_drop ~equivocable:true ~charge
-        ~respond:(fun _ -> value)
-        ~init f)
 
 let decide t out =
   let accepted = ref true in

@@ -16,6 +16,12 @@
     The prover is just caller code: honest provers compute what the protocol
     prescribes, adversarial provers may supply arbitrary arrays.
 
+    Every round takes and returns one array slot per node, so a round's
+    delivered state is O(n) words plus whatever each slot points to. An
+    unfaulted unicast or broadcast returns the prover's array itself. Each
+    round is charged, faulted and traced in one place, so every protocol
+    gets the same ledger, fault decisions and spans.
+
     {2 Fault injection}
 
     [create ?fault] threads a {!Fault.spec} through every channel primitive:
@@ -77,10 +83,6 @@ val unicast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bit
     [corrupt], see {!Fault}'s ready-made hooks) or drop ([on_drop] default,
     else the node rejects). @raise Invalid_argument on length mismatch. *)
 
-val unicast_varbits :
-  t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bits:(int -> int) -> 'r array -> 'r array
-(** Like {!unicast} with a per-node bit cost. *)
-
 val broadcast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bits:int -> 'r array -> 'r array
 (** Merlin broadcast round: like {!unicast}, but the values are expected to
     be all equal; use {!broadcast_consistent_at} in the verification phase to
@@ -103,72 +105,6 @@ val broadcast_consistent_at : ?equal:('r -> 'r -> bool) -> t -> 'r array -> int 
     Pass the payload's own equality ([Nat.equal], ...) whenever one exists:
     a structural mismatch between semantically equal copies would make an
     honest broadcast look like an equivocation and destroy completeness. *)
-
-(** {2 Streamed per-node views}
-
-    The array primitives above hold one slot per node for the whole round;
-    at n = 10⁶ that is the difference between O(n) resident protocol state
-    and none at all. The folds below visit nodes [0 .. n-1] in order, build
-    each node's {!node_view} on demand and release it before the next node:
-    the view's [neighbors] field is the graph's own row (shared, never
-    copied), so resident memory per in-flight node is O(degree) for
-    sparse-backed graphs. Randomness consumption is identical to the array
-    primitives — challenge draws split the main generator per node in the
-    same order, fault decisions come from streams keyed by
-    [(seed, round, node)] — so a protocol computing the same function over
-    a streamed round is bit-identical to its array form (pinned by the
-    equivalence tests). *)
-
-type 'c node_view = {
-  node : int;
-  degree : int;
-  neighbors : Ids_graph.Bitset.t;  (** The graph's own row; do not mutate. *)
-  value : 'c;  (** This node's challenge draw or delivered payload. *)
-  dropped : bool;  (** The fault layer dropped this node's message. *)
-}
-
-val view : t -> int -> unit node_view
-(** On-demand view of one node, outside any channel round. *)
-
-val fold_views : t -> init:'a -> ('a -> unit node_view -> 'a) -> 'a
-(** Fold the pure views of all nodes in ascending order; no channel round,
-    no charge, no rng consumption. *)
-
-val challenge_fold :
-  t -> bits:int -> gen:(Ids_bignum.Rng.t -> 'c) -> init:'a -> ('a -> 'c node_view -> 'a) -> 'a
-(** Streamed Arthur round: like {!challenge}, but the draws are folded
-    node-by-node instead of materialized. A dropped challenge marks the
-    node missed (and sets the view's [dropped]); the drawn value is still
-    visible in the view, exactly as in the array form. *)
-
-val unicast_fold :
-  t ->
-  ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) ->
-  ?on_drop:'r ->
-  bits:int ->
-  respond:(int -> 'r) ->
-  init:'a ->
-  ('a -> 'r node_view -> 'a) ->
-  'a
-(** Streamed Merlin unicast round: [respond v] produces node [v]'s message
-    on demand (the prover side of the stream), the fault layer applies per
-    node, and the delivered value reaches the fold in the view. With no
-    [on_drop], a dropped node is marked missed and its view carries the
-    undelivered value with [dropped = true]. *)
-
-val broadcast_fold :
-  t ->
-  ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) ->
-  ?on_drop:'r ->
-  bits:int ->
-  'r ->
-  init:'a ->
-  ('a -> 'r node_view -> 'a) ->
-  'a
-(** Streamed honest broadcast: one value replicated to every node (the
-    moral equivalent of {!broadcast_uniform}), fault layer included —
-    drop/corrupt per node plus the equivocation victim when the spec
-    equivocates. *)
 
 val decide : t -> (int -> bool) -> bool
 (** [decide t out] runs the local decision [out v] at every node and accepts

@@ -125,12 +125,10 @@ let response_bits_per_node f ~k n =
      unicast: Θ(k log n) per node — the §4 budget. *)
   Api.spec_bits f ~k + f.Field.bits + Bits.id n + (2 * Bits.id n) + (k * f.Field.bits)
 
-(* One execution, every round streamed: the Arthur round folds per-node
-   spec draws keeping only the root's, the Merlin rounds deliver into flat
-   arrays (one machine word or k ints per node), and verification runs
-   inside Network.decide — each node's row term is recomputed from its
-   shared O(degree) graph row on demand, so no per-node view outlives its
-   visit. *)
+(* One execution over the array rounds: each round delivers one slot per
+   node (a machine word, or a k-row for the aggregates), and verification
+   runs inside Network.decide — each node's row term is recomputed from
+   its shared O(degree) graph row on demand. *)
 let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Apihash.run: root out of range";
@@ -140,43 +138,33 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   let spec_bits = Api.spec_bits f ~k in
   (* Arthur: every node draws a spec; the root's draw is the shared one the
      prover must echo. Each node's draw comes from its own generator, split
-     off in node order, and only the root's is ever read: the fold keeps
-     the root's generator and draws the one spec from it, the same value as
-     drawing all n. The other n - 1 draws would cost a rejection loop per
-     field element whose length depends on how close q lies to a power of
-     two, i.e. on the seed. *)
-  let root_rng =
-    Network.challenge_fold net ~bits:spec_bits ~gen:Fun.id ~init:None
-      (fun acc view -> if view.Network.node = root then Some view.Network.value else acc)
+     off in node order, and only the root's is ever read: the round keeps
+     the root's generator (Array.init calls [gen] in node order, so a call
+     counter names the node) and draws the one spec from it, the same value
+     as drawing all n. The other n - 1 draws would cost a rejection loop
+     per field element whose length depends on how close q lies to a power
+     of two, i.e. on the seed; returning [None] for them also keeps the
+     round's array immediate instead of holding n boxed generators. *)
+  let calls = ref (-1) in
+  let gens =
+    Network.challenge net ~bits:spec_bits (fun rng ->
+        incr calls;
+        if !calls = root then Some rng else None)
   in
-  let root_spec = Api.random_spec f ~k (Option.get root_rng) in
+  let root_spec = Api.random_spec f ~k (Option.get gens.(root)) in
   let a = prover params root_spec ~root g in
-  (* Merlin broadcasts. Delivered copies land in one pointer/int slot per
-     node; unfaulted runs share a single spec record across all n slots. *)
+  (* Merlin broadcasts; unfaulted runs share a single spec record across
+     all n slots. *)
   let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
   let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
   let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
-  let spec_bc = Array.make n root_spec in
-  Network.broadcast_fold net ~corrupt:spec_corrupt ~bits:spec_bits root_spec ~init:()
-    (fun () v -> spec_bc.(v.Network.node) <- v.Network.value);
-  let claim_bc = Array.make n 0 in
-  Network.broadcast_fold net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim ~init:()
-    (fun () v -> claim_bc.(v.Network.node) <- v.Network.value);
-  let root_bc = Array.make n 0 in
-  Network.broadcast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root ~init:()
-    (fun () v -> root_bc.(v.Network.node) <- v.Network.value);
-  (* Merlin unicasts: tree labels and the k-vector of subtree aggregates,
-     produced per node on demand. *)
-  let parent_bc = Array.make n 0 in
-  Network.unicast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n)
-    ~respond:(fun v -> a.parent.(v))
-    ~init:()
-    (fun () v -> parent_bc.(v.Network.node) <- v.Network.value);
-  let dist_bc = Array.make n 0 in
-  Network.unicast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n)
-    ~respond:(fun v -> a.dist.(v))
-    ~init:()
-    (fun () v -> dist_bc.(v.Network.node) <- v.Network.value);
+  let spec_bc = Network.broadcast_uniform net ~corrupt:spec_corrupt ~bits:spec_bits root_spec in
+  let claim_bc = Network.broadcast_uniform net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim in
+  let root_bc = Network.broadcast_uniform net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root in
+  (* Merlin unicasts: tree labels, then each node's k-row of subtree
+     aggregates. *)
+  let parent_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.parent in
+  let dist_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.dist in
   let agg_corrupt rng row =
     if Array.length row = 0 then row
     else begin
@@ -186,18 +174,13 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
       row
     end
   in
-  let agg_bc = Array.make (n * k) 0 in
-  Network.unicast_fold net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits)
-    ~respond:(fun v -> Array.init k (fun i -> a.agg.((v * k) + i)))
-    ~init:()
-    (fun () view ->
-      let row = view.Network.value in
-      if Array.length row = k then
-        Array.blit row 0 agg_bc (view.Network.node * k) k
-      else
-        (* A cheating prover shipped the wrong arity; poison the slot so the
-           range check below rejects deterministically. *)
-        Array.fill agg_bc (view.Network.node * k) k (-1));
+  let agg_bc =
+    Network.unicast net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits)
+      (Array.init n (fun v -> Array.sub a.agg (v * k) k))
+  in
+  (* A row of the wrong arity (a cheating prover's) reads as -1, which the
+     range check below rejects deterministically. *)
+  let agg v i = if Array.length agg_bc.(v) = k then agg_bc.(v).(i) else -1 in
   (* Local verification, one node at a time inside decide. *)
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
@@ -228,7 +211,7 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
     &&
     let ok = ref true in
     for i = 0 to k - 1 do
-      if not (field_ok agg_bc.((v * k) + i)) then ok := false
+      if not (field_ok (agg v i)) then ok := false
     done;
     !ok
     &&
@@ -238,15 +221,15 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
     let children = Aggregation.children g ~parent:parent_bc v in
     let copy_ok i =
       let expected =
-        List.fold_left (fun acc u -> f.Field.add acc agg_bc.((u * k) + i)) term.(i) children
+        List.fold_left (fun acc u -> f.Field.add acc (agg u i)) term.(i) children
       in
-      agg_bc.((v * k) + i) = expected
+      agg v i = expected
     in
     let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
     all_copies 0
     &&
     if v = rt then
-      f.Field.equal (Api.finalize f spec (Array.init k (fun i -> agg_bc.((v * k) + i)))) claim
+      f.Field.equal (Api.finalize f spec (Array.init k (agg v))) claim
       && v = root && spec_eq spec root_spec
     else true
   in

@@ -12,10 +12,13 @@
     O(k · degree) field operations and is computed once on each side. Completeness is exact; a wrong claim or any tampered
     aggregate breaks an equation at some node.
 
-    Every round runs over {!Ids_network.Network}'s streamed views, so the
-    protocol completes at n = 10⁶ with O(n) machine words of delivered
-    state and O(max degree) transient state per node — this is the scale
-    exemplar benchmarked by [bench/scale]. *)
+    Every round runs over {!Ids_network.Network}'s array rounds: the
+    Arthur round keeps only the root's generator, the broadcasts and tree
+    labels deliver one machine word per node, and the aggregate round
+    delivers one k-row per node. So the protocol completes at n = 10⁶ with
+    O(n) words of delivered state plus the n k-rows, and O(max degree)
+    transient state per verified node. This is the scale exemplar
+    benchmarked by [bench/scale]. *)
 
 type params = { q : int; field : int Ids_hash.Field.t; copies : int }
 
@@ -73,7 +76,7 @@ val run :
   root:int ->
   Ids_graph.Graph.t ->
   Outcome.t
-(** One execution on a connected graph: spec challenge (streamed), spec /
+(** One execution on a connected graph: spec challenge (root's draw only), spec /
     claim / root broadcasts, tree-label and aggregate unicasts, local
     verification inside {!Ids_network.Network.decide}. Deterministic in
     [seed]; the fault layer applies to every round.

@@ -116,7 +116,6 @@ let test_crashed_nodes_not_charged () =
     let resp = Array.make n 3 in
     ignore (Network.challenge net ~bits:5 (fun rng -> Rng.bits rng 5));
     ignore (Network.unicast net ~bits:7 resp);
-    ignore (Network.unicast_varbits net ~bits:(fun v -> v + 1) resp);
     ignore (Network.broadcast net ~bits:2 resp)
   in
   let seen_crash = ref false in
@@ -172,6 +171,31 @@ let test_fault_determinism () =
           true (a = b)
       done)
     (Adversary.cases ())
+
+(* Exact deliveries of every round kind under one spec that drops,
+   corrupts, crashes and equivocates at once. The protocol-level checks
+   above see only verdicts and bit counts; this pins the values each node
+   receives (node 7 is crashed, the challenge round drops four nodes, the
+   unicast corrupts two, the broadcast corrupts one and equivocates one,
+   and node 18's broadcast copy is dropped). *)
+let test_composite_deliveries_pinned () =
+  let g = Graph.grid 4 5 in
+  let n = Graph.n g in
+  let net = Network.create ~fault:(Fault.make ~drop:0.1 ~corrupt:0.1 ~crash:0.1 ~equivocate:true ()) ~seed:1 g in
+  let flags l = Array.init n (fun v -> List.mem v l) in
+  Alcotest.(check (array bool)) "crashed" (flags [ 7 ]) (Array.init n (Network.crashed net));
+  Alcotest.(check (array int)) "challenge draws"
+    [| 55; 34; 124; 7; 98; 26; 18; 100; 11; 72; 40; 41; 87; 55; 117; 44; 40; 57; 52; 126 |]
+    (Network.challenge net ~bits:7 (fun rng -> Rng.bits rng 7));
+  Alcotest.(check (array bool)) "challenge drops" (flags [ 2; 5; 7; 13 ]) (Network.take_missed net);
+  Alcotest.(check (array int)) "unicast deliveries"
+    [| 0; 37; 74; 111; 20; 57; 94; 3; 40; 76; 114; 23; 61; 97; 6; 43; 80; 117; 26; 63 |]
+    (Network.unicast net ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7
+       (Array.init n (fun v -> (v * 37) land 127)));
+  Alcotest.(check (array int)) "broadcast deliveries"
+    [| 303; 301; 301; 301; 301; 301; 301; 301; 301; 429; 301; 301; 301; 301; 301; 301; 301; 301; 301; 301 |]
+    (Network.broadcast_uniform net ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301);
+  Alcotest.(check (array bool)) "response drops" (flags [ 18 ]) (Network.take_missed net)
 
 (* --- equivocation -------------------------------------------------------------- *)
 
@@ -533,6 +557,7 @@ let suite =
         Alcotest.test_case "crashed nodes not charged" `Quick test_crashed_nodes_not_charged;
         Alcotest.test_case "crash shrinks ledger total" `Quick test_crash_total_bits_bounded;
         Alcotest.test_case "faulted runs reproducible" `Quick test_fault_determinism;
+        Alcotest.test_case "composite spec deliveries pinned" `Quick test_composite_deliveries_pinned;
         Alcotest.test_case "equivocation always caught (connected)" `Slow
           test_equivocation_always_caught;
         Alcotest.test_case "crash modes" `Quick test_crash_modes;

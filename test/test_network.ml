@@ -86,33 +86,9 @@ let test_unicast_charges () =
   let g = Graph.star 4 in
   let net = Network.create ~seed:1 g in
   let _ = Network.unicast net ~bits:9 [| 1; 2; 3; 4 |] in
-  let _ = Network.unicast_varbits net ~bits:(fun v -> v) [| 1; 2; 3; 4 |] in
   for v = 0 to 3 do
-    Alcotest.(check int) "per-node charge" (9 + v) (Cost.from_prover (Network.cost net) v)
+    Alcotest.(check int) "per-node charge" 9 (Cost.from_prover (Network.cost net) v)
   done
-
-let test_unicast_varbits_accounting () =
-  (* Per-node bit functions sum into both the node totals and the grand
-     total, on top of whatever the node was already charged. *)
-  let g = Graph.cycle 5 in
-  let net = Network.create ~seed:2 g in
-  let _ = Network.unicast_varbits net ~bits:(fun v -> (2 * v) + 1) [| 10; 11; 12; 13; 14 |] in
-  let _ = Network.unicast_varbits net ~bits:(fun v -> 100 * v) [| 0; 0; 0; 0; 0 |] in
-  let expected v = (2 * v) + 1 + (100 * v) in
-  for v = 0 to 4 do
-    Alcotest.(check int) (Printf.sprintf "node %d from-prover sum" v) (expected v)
-      (Cost.from_prover (Network.cost net) v)
-  done;
-  let grand = List.fold_left (fun acc v -> acc + expected v) 0 (List.init 5 Fun.id) in
-  Alcotest.(check int) "grand total" grand (Cost.total (Network.cost net));
-  Alcotest.(check int) "max per node" (expected 4) (Cost.max_per_node (Network.cost net))
-
-let test_unicast_varbits_length_mismatch () =
-  let net = Network.create ~seed:1 (Graph.path 3) in
-  Alcotest.check_raises "too short" (Invalid_argument "Network: response length mismatch")
-    (fun () -> ignore (Network.unicast_varbits net ~bits:(fun _ -> 1) [| 1; 2 |]));
-  Alcotest.check_raises "too long" (Invalid_argument "Network: response length mismatch")
-    (fun () -> ignore (Network.unicast_varbits net ~bits:(fun _ -> 1) [| 1; 2; 3; 4 |]))
 
 let test_broadcast_consistent_at_custom_equal () =
   (* The ?equal hook: values that are structurally distinct but semantically
@@ -226,9 +202,6 @@ let suite =
         Alcotest.test_case "non-constant broadcast caught" `Quick
           test_nonconstant_broadcast_always_caught_when_connected;
         Alcotest.test_case "unicast charges" `Quick test_unicast_charges;
-        Alcotest.test_case "unicast_varbits cost accounting" `Quick test_unicast_varbits_accounting;
-        Alcotest.test_case "unicast_varbits length mismatch" `Quick
-          test_unicast_varbits_length_mismatch;
         Alcotest.test_case "broadcast_consistent_at ?equal hook" `Quick
           test_broadcast_consistent_at_custom_equal;
         Alcotest.test_case "equivocation invisible across components" `Quick

@@ -1,13 +1,13 @@
 (* Scale-path contracts (the million-node PR).
 
-   Four families of checks: (1) every Family/Graph generator builds the
+   Three families of checks: (1) every Family/Graph generator builds the
    same graph on the dense and sparse backends; (2) pinned protocol
    estimates (dSym, PLS via the randomized labeling scheme, GNI, the
    eps-API hash) replay bit-identically across backend x worker-domain
-   count; (3) the streamed Network folds are bit-identical to the array
-   primitives, fault layer included; (4) the Apihash protocol itself —
-   completeness, deterministic rejection of tampered advice, fault
-   behavior — plus the committed BENCH_scale.json artifact's shape. *)
+   count; (3) the Apihash protocol itself — completeness, deterministic
+   rejection of tampered advice, fault behavior, full outcomes pinned
+   under single and composite fault specs — plus the committed
+   BENCH_scale.json artifact's shape. *)
 
 open Ids_graph
 module Rng = Ids_bignum.Rng
@@ -144,52 +144,6 @@ let test_estimates_backend_domains () =
         [ 1; 2; 4 ])
     (estimate_configs ())
 
-(* --- streamed folds = array primitives ------------------------------------ *)
-
-let fold_to_array t fold =
-  let out = Array.make (Network.n t) None in
-  fold (fun () (v : _ Network.node_view) -> out.(v.Network.node) <- Some v.Network.value) ;
-  Array.map Option.get out
-
-let test_streaming_matches_arrays () =
-  let g = Family.expander (Rng.create 12) ~n:60 ~degree:4 in
-  List.iter
-    (fun fault ->
-      let tag = Fault.to_string fault in
-      let ta = Network.create ~fault ~seed:99 g in
-      let tf = Network.create ~fault ~seed:99 g in
-      (* Challenge round: same draws, same missed flags. *)
-      let ca = Network.challenge ta ~bits:7 (fun rng -> Rng.bits rng 7) in
-      let cf =
-        fold_to_array tf (fun f ->
-            Network.challenge_fold tf ~bits:7 ~gen:(fun rng -> Rng.bits rng 7) ~init:() f)
-      in
-      checkb (tag ^ ": challenge draws equal") true (ca = cf);
-      (* Unicast round with a corrupt hook and no on_drop. *)
-      let payload = Array.init (Graph.n g) (fun v -> (v * 37) land 127) in
-      let ua = Network.unicast ta ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7 payload in
-      let uf =
-        fold_to_array tf (fun f ->
-            Network.unicast_fold tf ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7
-              ~respond:(fun v -> payload.(v))
-              ~init:() f)
-      in
-      checkb (tag ^ ": unicast deliveries equal") true (ua = uf);
-      (* Broadcast round (equivocation victim included). *)
-      let ba = Network.broadcast_uniform ta ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301 in
-      let bf =
-        fold_to_array tf (fun f ->
-            Network.broadcast_fold tf ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301 ~init:() f)
-      in
-      checkb (tag ^ ": broadcast deliveries equal") true (ba = bf);
-      checkb (tag ^ ": missed flags equal") true (Network.take_missed ta = Network.take_missed tf);
-      checkb (tag ^ ": cost ledgers equal") true (Network.cost ta = Network.cost tf))
-    [ Fault.none;
-      Fault.drop_only 0.2;
-      Fault.corrupt_only 0.3;
-      Fault.make ~drop:0.1 ~corrupt:0.1 ~crash:0.1 ~equivocate:true ()
-    ]
-
 (* --- the apihash protocol -------------------------------------------------- *)
 
 let test_apihash_completeness () =
@@ -238,7 +192,10 @@ let test_apihash_faults () =
    before the hash layer moved to power tables: the tabled row terms and
    the in-place k-wide aggregation are exact field arithmetic, so not one
    verdict or bit count may move. The vacuous-crash cells accept, so they
-   pin the verifier's subtree equations on a faulted run. *)
+   pin the verifier's subtree equations on a faulted run. The composite
+   cells (drop, corrupt, crash and equivocation in one spec) were recorded
+   while Apihash still ran its rounds as per-node folds, and pin its move
+   onto the array rounds. *)
 let apihash_outcome_pins =
   [ ("expander64", "honest", [ (1, true, 396, 249, 25344); (2, true, 396, 249, 25344); (3, true, 396, 249, 25344) ]);
     ("expander64", "wrong_claim", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
@@ -247,13 +204,15 @@ let apihash_outcome_pins =
     ("expander64", "equivocate", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
     ("expander64", "crash_vacuous0.05", [ (1, true, 396, 249, 23760); (2, true, 396, 249, 24156); (3, true, 396, 249, 24552) ]);
     ("expander64", "corrupt0.01", [ (1, false, 396, 249, 25344); (2, false, 396, 249, 25344); (3, false, 396, 249, 25344) ]);
+    ("expander64", "composite", [ (1, false, 396, 249, 22176); (2, false, 396, 249, 22968); (3, false, 396, 249, 21780) ]);
     ("grid6x6", "honest", [ (1, true, 342, 216, 12312); (2, true, 360, 227, 12960); (3, true, 360, 227, 12960) ]);
     ("grid6x6", "wrong_claim", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
     ("grid6x6", "corrupt_agg", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
     ("grid6x6", "drop0.1", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
     ("grid6x6", "equivocate", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
     ("grid6x6", "crash_vacuous0.05", [ (1, true, 342, 216, 11628); (2, true, 360, 227, 12240); (3, true, 360, 227, 12960) ]);
-    ("grid6x6", "corrupt0.01", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ])
+    ("grid6x6", "corrupt0.01", [ (1, false, 342, 216, 12312); (2, false, 360, 227, 12960); (3, false, 360, 227, 12960) ]);
+    ("grid6x6", "composite", [ (1, false, 342, 216, 10602); (2, false, 360, 227, 11880); (3, false, 360, 227, 12240) ])
   ]
 
 let test_apihash_outcome_pins () =
@@ -265,7 +224,8 @@ let test_apihash_outcome_pins () =
       ("drop0.1", None, Some (Fault.drop_only 0.1));
       ("equivocate", None, Some Fault.equivocate_only);
       ("crash_vacuous0.05", None, Some (Fault.crash_only ~crash_mode:Fault.Crash_vacuous 0.05));
-      ("corrupt0.01", None, Some (Fault.corrupt_only 0.01))
+      ("corrupt0.01", None, Some (Fault.corrupt_only 0.01));
+      ("composite", None, Some (Fault.make ~drop:0.1 ~corrupt:0.1 ~crash:0.1 ~equivocate:true ()))
     ]
   in
   List.iter
@@ -375,13 +335,12 @@ let suite =
         Alcotest.test_case "expander shape" `Quick test_expander_shape;
         Alcotest.test_case "estimates pinned across backend x domains" `Slow
           test_estimates_backend_domains;
-        Alcotest.test_case "streamed folds = array primitives" `Quick test_streaming_matches_arrays;
+        Alcotest.test_case "apihash outcome pin matrix" `Quick test_apihash_outcome_pins;
         Alcotest.test_case "apihash completeness" `Quick test_apihash_completeness;
         Alcotest.test_case "apihash eps < 1 at small n" `Quick test_apihash_epsilon_small;
         Alcotest.test_case "apihash rejects tampered advice" `Quick test_apihash_soundness;
         Alcotest.test_case "apihash under faults" `Quick test_apihash_faults;
         Alcotest.test_case "apihash root validation" `Quick test_apihash_rejects_bad_root;
-        Alcotest.test_case "apihash outcome pin matrix" `Quick test_apihash_outcome_pins;
         Alcotest.test_case "BENCH_scale.json shape" `Quick test_bench_scale_shape;
         Alcotest.test_case "apihash spec = root's draw" `Quick test_apihash_root_spec
       ] )
