@@ -105,6 +105,9 @@ let c_cert_rounds = Obs.Counter.make "prime.cert_rounds"
 (* Exactly the reference's base draw. *)
 let draw_base rng n = Nat.add Nat.two (Nat.random_below rng (Nat.sub n (Nat.of_int 3)))
 
+(* The same draw for a native modulus k, without a limb array per base. *)
+let draw_base_native rng k = 2 + Nat.random_below_int rng (k - 3)
+
 (* Square-and-multiply for native moduli < 2^31 (products stay < 2^62). *)
 let powmod_native a e m =
   let rec go acc b e =
@@ -142,7 +145,7 @@ let rec native_factor k i =
     else native_factor k (i + 1)
   end
 
-let is_prime_native ~rounds rng n k =
+let is_prime_native ~rounds rng k =
   match native_factor k 0 with
   | `Factor p when p <= 97 ->
     Obs.Counter.add c_sieve_reject 1;
@@ -151,7 +154,7 @@ let is_prime_native ~rounds rng n k =
     (* The reference would run [rounds] passing rounds; burn its draws. *)
     Obs.Counter.add c_trial_proved 1;
     for _ = 1 to rounds do
-      ignore (draw_base rng n)
+      ignore (draw_base_native rng k)
     done;
     true
   | `Factor _ | `No_factor ->
@@ -159,7 +162,7 @@ let is_prime_native ~rounds rng n k =
     let rec rounds_left r =
       if r = 0 then true
       else begin
-        let a = Nat.to_int (draw_base rng n) in
+        let a = draw_base_native rng k in
         Obs.Counter.add c_mr_rounds 1;
         if mr_round_native k d s a then rounds_left (r - 1) else false
       end
@@ -255,7 +258,7 @@ let is_prime_nat ~rounds rng n =
 let is_prime ?(rounds = 32) rng n =
   match Nat.to_int_opt n with
   | Some k when k < 100 * 100 -> is_prime_int k
-  | Some k when k < 1 lsl 31 -> is_prime_native ~rounds rng n k
+  | Some k when k < 1 lsl 31 -> is_prime_native ~rounds rng k
   | _ -> is_prime_nat ~rounds rng n
 
 let random_prime_in rng lo hi =

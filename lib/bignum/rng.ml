@@ -35,9 +35,10 @@ let bits t k =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the smallest power of two >= bound. *)
+  (* Rejection sampling on the smallest power of two >= bound; 62 bits
+     cover every positive int (1 lsl 62 would wrap negative). *)
   let k =
-    let rec width k = if 1 lsl k >= bound then k else width (k + 1) in
+    let rec width k = if k = 62 || 1 lsl k >= bound then k else width (k + 1) in
     width 1
   in
   let rec draw () =

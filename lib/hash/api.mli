@@ -66,7 +66,7 @@ val tables : 'a Field.t -> 'a spec -> n:int -> 'a tables
 val tables_memo : 'a Field.t -> n:int -> 'a spec -> 'a tables
 (** [tables_memo f ~n] is a caching [fun spec -> tables f spec ~n], keyed
     by [spec.points]: one set of tables per distinct point vector. Like
-    {!Linear.powers_memo}, use one memo per execution. *)
+    {!Linear.row_tables_memo}, use one memo per execution. *)
 
 val node_term_into : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> int -> 'a array -> int -> unit
 (** [node_term_into f t g v dst off] writes node [v]'s k-vector

@@ -29,25 +29,7 @@ let powers f a m =
   done;
   t
 
-(* Decide rounds evaluate row hashes at each node's own copy of the
-   broadcast index, which faults can make diverge across nodes: memoize one
-   power table per distinct index so the honest case builds exactly one. *)
-let powers_memo f m =
-  let tbl = Hashtbl.create 4 in
-  fun a ->
-    match Hashtbl.find_opt tbl a with
-    | Some t -> t
-    | None ->
-      let t = powers f a m in
-      Hashtbl.add tbl a t;
-      t
-
-let row_poly_pow f ~powers s =
-  Bitset.fold (fun w acc -> f.Field.add acc powers.(w + 1)) s f.Field.zero
-
-let row_hash_pow f ~powers ~n ~row s =
-  if row < 0 || row >= n then invalid_arg "Linear.row_hash_pow: row out of range";
-  f.Field.mul powers.(row * n) (row_poly_pow f ~powers s)
+type 'a tables = 'a array * 'a array
 
 (* Two short tables instead of one of length n² + n + 1: a^(row·n) is
    (a^n)^row, read from the second. Shared by every row of one index. *)
@@ -55,21 +37,49 @@ let row_tables f a ~n =
   let lo = powers f a n in
   (lo, powers f lo.(n) (n - 1))
 
-let graph_hash_pow f ~powers g =
-  let n = Graph.n g in
+(* Decide rounds evaluate row hashes at each node's own copy of the
+   broadcast index, which faults can make diverge across nodes: memoize the
+   tables per distinct index so the honest case builds one pair. *)
+let row_tables_memo f ~n =
+  let tbl = Hashtbl.create 4 in
+  fun a ->
+    match Hashtbl.find_opt tbl a with
+    | Some t -> t
+    | None ->
+      let t = row_tables f a ~n in
+      Hashtbl.add tbl a t;
+      t
+
+let row_hash_tables f ((lo, hi) : _ tables) ~row s =
+  if row < 0 || row >= Array.length hi then invalid_arg "Linear.row_hash_tables: row out of range";
+  f.Field.mul hi.(row) (Bitset.fold (fun w acc -> f.Field.add acc lo.(w + 1)) s f.Field.zero)
+
+(* Row v with content N[v], the open neighbourhood folded onto v's own
+   entry: the same field element as over Graph.closed_neighborhood (the
+   sum is exact), minus a set copy and sorted insert per call. *)
+let node_hash_tables f ((lo, hi) : _ tables) g v =
+  if Array.length lo <> Graph.n g + 1 then invalid_arg "Linear.node_hash_tables: tables built for another n";
+  f.Field.mul hi.(v) (Bitset.fold (fun w acc -> f.Field.add acc lo.(w + 1)) (Graph.neighbors g v) lo.(v + 1))
+
+let graph_hash_tables f tabs g =
   let acc = ref f.Field.zero in
-  for v = 0 to n - 1 do
-    acc := f.Field.add !acc (row_hash_pow f ~powers ~n ~row:v (Graph.closed_neighborhood g v))
+  for v = 0 to Graph.n g - 1 do
+    acc := f.Field.add !acc (node_hash_tables f tabs g v)
   done;
   !acc
 
-let permuted_graph_hash_pow f ~powers g rho =
-  let n = Graph.n g in
+(* A permutation is injective, so the image row's content sums over the
+   preimages: no image set is built. *)
+let permuted_node_hash_tables f ((lo, hi) : _ tables) g rho v =
+  if Array.length lo <> Graph.n g + 1 then
+    invalid_arg "Linear.permuted_node_hash_tables: tables built for another n";
+  let image w = lo.(Perm.apply rho w + 1) in
+  f.Field.mul hi.(Perm.apply rho v)
+    (Bitset.fold (fun w acc -> f.Field.add acc (image w)) (Graph.neighbors g v) (image v))
+
+let permuted_graph_hash_tables f tabs g rho =
   let acc = ref f.Field.zero in
-  for v = 0 to n - 1 do
-    acc :=
-      f.Field.add !acc
-        (row_hash_pow f ~powers ~n ~row:(Perm.apply rho v)
-           (Perm.apply_set rho (Graph.closed_neighborhood g v)))
+  for v = 0 to Graph.n g - 1 do
+    acc := f.Field.add !acc (permuted_node_hash_tables f tabs g rho v)
   done;
   !acc

@@ -44,41 +44,58 @@ val permuted_graph_hash : 'a Field.t -> 'a -> Ids_graph.Graph.t -> Ids_graph.Per
 val collision_bound : n:int -> p:int -> float
 (** The Theorem 3.2 guarantee [m / p] for [n x n] matrices ([m = n^2 + n]). *)
 
-(** {1 Batched evaluation}
-
-    Exact soundness analysis evaluates the same hash at every index of the
-    family, which is much faster with a precomputed power table. *)
-
-val powers : 'a Field.t -> 'a -> int -> 'a array
-(** [powers f a m] is [\[| a^0; a^1; ...; a^m |\]]. *)
-
-val powers_memo : 'a Field.t -> int -> 'a -> 'a array
-(** [powers_memo f m] is a caching [fun a -> powers f a m]: one table per
-    distinct index, shared across calls. The cache is a plain hash table —
-    use one memo per execution, not across domains. *)
-
-val row_hash_pow : 'a Field.t -> powers:'a array -> n:int -> row:int -> Ids_graph.Bitset.t -> 'a
-(** {!row_hash} using a table from [powers] (of length at least [n^2+n+1]). *)
-
-val graph_hash_pow : 'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> 'a
-
 (** {1 Two-table row evaluation}
 
-    One matrix row needs only [a^1 .. a^n] for its content and
-    [a^(row*n)] for its position. Writing [a^(row*n) = (a^n)^row], two
-    tables of about [n] entries each serve every row of an [n x n] matrix
-    at one index, against [n^2 + n + 1] entries for {!powers}:
+    The one row path every protocol evaluates at a fixed index. One matrix
+    row needs only [a^1 .. a^n] for its content and [a^(row*n)] for its
+    position. Writing [a^(row*n) = (a^n)^row], two tables of about [n]
+    entries each serve every row of an [n x n] matrix at one index:
 
     {v h_a([v, s]) = hi.(v) * sum_{w in s} lo.(w + 1) v}
 
     is one table read, one multiplication and [|s|] additions, and the
-    same field element as {!row_hash}. {!Api.node_term_into} evaluates
-    the eps-API hash's row terms this way. *)
+    same field element as {!row_hash} (field arithmetic is exact). The
+    closed forms above stay as the reference the tabled forms are tested
+    against; {!Api.node_term_into} evaluates the eps-API hash's row terms
+    from the same tables. *)
 
-val row_tables : 'a Field.t -> 'a -> n:int -> 'a array * 'a array
+val powers : 'a Field.t -> 'a -> int -> 'a array
+(** [powers f a m] is [\[| a^0; a^1; ...; a^m |\]]. *)
+
+type 'a tables = 'a array * 'a array
+(** [(lo, hi)] for one index [a] of an [n x n] matrix hash: see
+    {!row_tables}. *)
+
+val row_tables : 'a Field.t -> 'a -> n:int -> 'a tables
 (** [row_tables f a ~n] is [(lo, hi)] with [lo = powers f a n]
     ([a^0 .. a^n]) and [hi = powers f (a^n) (n - 1)]
     ([(a^n)^0 .. (a^n)^(n-1)]). *)
 
-val permuted_graph_hash_pow :
-  'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> 'a
+val row_tables_memo : 'a Field.t -> n:int -> 'a -> 'a tables
+(** [row_tables_memo f ~n] is a caching [fun a -> row_tables f a ~n]: one
+    pair per distinct index, shared across calls. The cache is a plain hash
+    table, so use one memo per execution, not across domains. *)
+
+val row_hash_tables : 'a Field.t -> 'a tables -> row:int -> Ids_graph.Bitset.t -> 'a
+(** [row_hash_tables f (row_tables f a ~n) ~row s] is [row_hash f a ~n ~row s].
+    @raise Invalid_argument if [row] is outside [\[0, n)]. *)
+
+val node_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> int -> 'a
+(** [node_hash_tables f t g v] is
+    [row_hash_tables f t ~row:v (Graph.closed_neighborhood g v)]: node
+    [v]'s own row of [g]'s adjacency matrix, read from [g]'s shared
+    adjacency row without building a set.
+    @raise Invalid_argument if [t] was built for another [n]. *)
+
+val permuted_node_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> int -> 'a
+(** [permuted_node_hash_tables f t g rho v] is
+    [row_hash_tables f t ~row:(rho v) (rho (Graph.closed_neighborhood g v))]:
+    node [v]'s row of the rho-permuted matrix, summed over the preimages
+    (rho is injective) without building the image set.
+    @raise Invalid_argument if [t] was built for another [n]. *)
+
+val graph_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> 'a
+(** {!graph_hash} from the tables of its index. *)
+
+val permuted_graph_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> 'a
+(** {!permuted_graph_hash} from the tables of its index. *)

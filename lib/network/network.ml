@@ -94,41 +94,48 @@ let challenge t ~bits gen =
       | Some f ->
         let fround = Fault.next_round f in
         for v = 0 to n t - 1 do
-          Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
           (* Delivery failure is modeled purely as decide-time rejection: the
              drawn value stays in the returned array (and is typically handed to
              the prover — there is no generic sentinel for 'c), but the sending
              node is marked missed so {!decide}, or a protocol folding
              {!take_missed} into its own verdicts, rejects it. Soundness must
-             never depend on hiding a dropped challenge from the prover. *)
+             never depend on hiding a dropped challenge from the prover. A
+             crashed node sends nothing, so nothing of it is dropped. *)
+          let live = not (Fault.crashed f v) in
+          if live then Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
           match Fault.deliver f ~round:fround ~node:v a.(v) with
-          | Fault.Dropped ->
+          | Fault.Dropped when live ->
             t.missed.(v) <- true;
             Obs.Counter.add_cell c_fault_drops ~round ~node:v 1
-          | Fault.Delivered _ -> ()
+          | Fault.Dropped | Fault.Delivered _ -> ()
         done);
       a)
 
 let check_length t a = if Array.length a <> n t then invalid_arg "Network: response length mismatch"
 
-(* Per-node delivery over one prover-response round. Equivocation (broadcast
-   rounds only) corrupts the keyed victim's copy after regular delivery, so
-   the spec's drop/corrupt rates and the equivocation attack compose. *)
-let apply_faults t ?corrupt ?on_drop ~round ~equivocable responses =
+(* Per-node delivery over one prover-response round, written into [out]
+   (the caller's own array when it is fresh, else a copy). Equivocation
+   (broadcast rounds only) corrupts the keyed victim's copy after regular
+   delivery, so the spec's drop/corrupt rates and the equivocation attack
+   compose. A crashed node's slot is still delivered, because live
+   neighbours' tree and subtree checks read it, but a silent node has no
+   channel to fail: it is neither counted nor marked missed. *)
+let apply_faults t ?corrupt ?on_drop ~round ~equivocable ~fresh responses =
   match t.fault with
   | None -> responses
   | Some f ->
     let fround = Fault.next_round f in
-    let out = Array.copy responses in
+    let out = if fresh then responses else Array.copy responses in
     for v = 0 to Array.length out - 1 do
-      Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
+      let live = not (Fault.crashed f v) in
+      if live then Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
       match Fault.deliver f ~round:fround ~node:v ?corrupt out.(v) with
       | Fault.Delivered x -> out.(v) <- x
       | Fault.Dropped -> (
-        Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
+        if live then Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
         match on_drop with
         | Some d -> out.(v) <- d
-        | None -> t.missed.(v) <- true)
+        | None -> if live then t.missed.(v) <- true)
     done;
     (if equivocable then
        match (corrupt, Fault.equivocation f ~round:fround ~n:(Array.length out)) with
@@ -142,18 +149,20 @@ let unicast t ?corrupt ?on_drop ~bits responses =
   Obs.span ~round "net.unicast" (fun () ->
       charge_live_from_prover t ~round bits;
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      apply_faults t ?corrupt ?on_drop ~round ~equivocable:false responses)
+      apply_faults t ?corrupt ?on_drop ~round ~equivocable:false ~fresh:false responses)
 
-let broadcast t ?corrupt ?on_drop ~bits responses =
+let broadcast_round t ?corrupt ?on_drop ~bits ~fresh responses =
   check_length t responses;
   let round = next_round t in
   Obs.span ~round "net.broadcast" (fun () ->
       charge_live_from_prover t ~round bits;
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      apply_faults t ?corrupt ?on_drop ~round ~equivocable:true responses)
+      apply_faults t ?corrupt ?on_drop ~round ~equivocable:true ~fresh responses)
+
+let broadcast t ?corrupt ?on_drop ~bits responses = broadcast_round t ?corrupt ?on_drop ~bits ~fresh:false responses
 
 let broadcast_uniform t ?corrupt ?on_drop ~bits value =
-  broadcast t ?corrupt ?on_drop ~bits (Array.make (n t) value)
+  broadcast_round t ?corrupt ?on_drop ~bits ~fresh:true (Array.make (n t) value)
 
 let broadcast_consistent_at ?(equal = fun a b -> a = b) t values v =
   let ok = ref true in

@@ -58,7 +58,8 @@ val crashed : t -> int -> bool
 
 val missed : t -> int -> bool
 (** Has node [v] missed a message (dropped with no [on_drop] default) so
-    far? Such a node rejects at {!decide} time. *)
+    far? Such a node rejects at {!decide} time. A crashed node is silent,
+    so it never misses one: its verdict is {!decide}'s crash rule. *)
 
 val take_missed : t -> bool array
 (** Snapshot the per-node missed flags and clear them. For protocols that
@@ -91,7 +92,8 @@ val broadcast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> b
     hook required) — the attack the consistency check exists to catch. *)
 
 val broadcast_uniform : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bits:int -> 'r -> 'r array
-(** Honest broadcast: replicate one value to all nodes and charge it. *)
+(** Honest broadcast: replicate one value to all nodes and charge it. The
+    faulted deliveries are written into the one replicated array. *)
 
 val broadcast_consistent_at : ?equal:('r -> 'r -> bool) -> t -> 'r array -> int -> bool
 (** [broadcast_consistent_at t values v] is the local broadcast check at

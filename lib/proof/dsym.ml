@@ -52,14 +52,11 @@ let respond_with ~root ~sigma params inst challenges =
   let f = params.field in
   let tree = Precomp.tree g root in
   let i = challenges.(root) in
-  (* One power table for the shared index replaces a modular exponentiation
-     per row term in both sums. *)
-  let pows = Linear.powers f i ((size * size) + size) in
-  let term_a v = Linear.row_hash_pow f ~powers:pows ~n:size ~row:v (Graph.closed_neighborhood g v) in
-  let term_b v =
-    Linear.row_hash_pow f ~powers:pows ~n:size ~row:(Perm.apply sigma v)
-      (Perm.apply_set sigma (Graph.closed_neighborhood g v))
-  in
+  (* One pair of row tables for the shared index replaces a modular
+     exponentiation per row term in both sums. *)
+  let tabs = Linear.row_tables f i ~n:size in
+  let term_a v = Linear.node_hash_tables f tabs g v in
+  let term_b v = Linear.permuted_node_hash_tables f tabs g sigma v in
   { index = const size i;
     root = const size root;
     parent = Array.copy tree.Spanning_tree.parent;
@@ -136,7 +133,7 @@ let run_body ?fault ?params ~seed inst prover =
   let a_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.a in
   let b_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.b in
   let field_ok x = Aggregation.in_range params.p x in
-  let powers_of = Linear.powers_memo f ((size * size) + size) in
+  let tables_of = Linear.row_tables_memo f ~n:size in
   let decide v =
     structure_ok inst v
     && Network.broadcast_consistent_at net index_bc v
@@ -147,13 +144,9 @@ let run_body ?fault ?params ~seed inst prover =
     && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
     &&
     let children = Aggregation.children g ~parent:parent_u v in
-    let neighborhood = Graph.closed_neighborhood g v in
-    let pows = powers_of i in
-    let own_a = Linear.row_hash_pow f ~powers:pows ~n:size ~row:v neighborhood in
-    let own_b =
-      Linear.row_hash_pow f ~powers:pows ~n:size ~row:(Perm.apply sigma v)
-        (Perm.apply_set sigma neighborhood)
-    in
+    let tabs = tables_of i in
+    let own_a = Linear.node_hash_tables f tabs g v in
+    let own_b = Linear.permuted_node_hash_tables f tabs g sigma v in
     Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
     && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
     &&

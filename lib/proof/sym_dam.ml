@@ -45,14 +45,14 @@ let respond_with_rho params g challenges rho_table =
   let root = moved 0 in
   let tree = Precomp.tree g root in
   let i = challenges.(root) in
-  (* Both sums evaluate every row at the same index: one power table
-     replaces a modular exponentiation per row term. *)
-  let pows = Linear.powers f i ((n * n) + n) in
-  let term_a v = Linear.row_hash_pow f ~powers:pows ~n ~row:v (Graph.closed_neighborhood g v) in
+  (* Both sums evaluate every row at the same index: one pair of row
+     tables replaces a modular exponentiation per row term. *)
+  let tabs = Linear.row_tables f i ~n in
+  let term_a v = Linear.node_hash_tables f tabs g v in
   let term_b v =
     let image = Bitset.create n in
     Bitset.iter (fun u -> Bitset.add image rho_table.(u)) (Graph.closed_neighborhood g v);
-    Linear.row_hash_pow f ~powers:pows ~n ~row:rho_table.(v) image
+    Linear.row_hash_tables f tabs ~row:rho_table.(v) image
   in
   { rho = const n rho_table;
     index = const n i;
@@ -97,7 +97,7 @@ let run_body ?fault ?params ~seed g prover =
   let a_u = Network.unicast net ~corrupt:nat_corrupt ~bits:f.Field.bits r.a in
   let b_u = Network.unicast net ~corrupt:nat_corrupt ~bits:f.Field.bits r.b in
   let field_ok x = Nat.compare x params.p < 0 in
-  let powers_of = Linear.powers_memo f ((n * n) + n) in
+  let tables_of = Linear.row_tables_memo f ~n in
   let decide v =
     Network.broadcast_consistent_at net rho_bc v
     (* Nat values are normalized, so structural and numeric equality agree —
@@ -114,11 +114,11 @@ let run_body ?fault ?params ~seed g prover =
     &&
     let neighborhood = Graph.closed_neighborhood g v in
     let children = Aggregation.children g ~parent:parent_u v in
-    let pows = powers_of i in
-    let own_a = Linear.row_hash_pow f ~powers:pows ~n ~row:v neighborhood in
+    let tabs = tables_of i in
+    let own_a = Linear.row_hash_tables f tabs ~row:v neighborhood in
     let image = Bitset.create n in
     Bitset.iter (fun u -> Bitset.add image rho.(u)) neighborhood;
-    let own_b = Linear.row_hash_pow f ~powers:pows ~n ~row:rho.(v) image in
+    let own_b = Linear.row_hash_tables f tabs ~row:rho.(v) image in
     Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
     && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
     &&
@@ -133,16 +133,16 @@ let run ?fault ?params ~seed g prover =
 
 (* --- adversaries ------------------------------------------------------------ *)
 
-let collides params g table pows =
+let collides params g table tabs =
   let f = params.field in
   let n = Graph.n g in
-  let ha = Linear.graph_hash_pow f ~powers:pows g in
+  let ha = Linear.graph_hash_tables f tabs g in
   let hb =
     let acc = ref f.Field.zero in
     for v = 0 to n - 1 do
       let image = Bitset.create n in
       Bitset.iter (fun u -> Bitset.add image table.(u)) (Graph.closed_neighborhood g v);
-      acc := f.Field.add !acc (Linear.row_hash_pow f ~powers:pows ~n ~row:table.(v) image)
+      acc := f.Field.add !acc (Linear.row_hash_tables f tabs ~row:table.(v) image)
     done;
     !acc
   in
@@ -165,11 +165,11 @@ let search_table ?(extra = 20) ~seed params g challenges =
   (* The root the consistent strategy will use is the first vertex the
      mapping moves, so test the collision under that root's challenge.
      At most n distinct roots arise over all candidates, so memoize the
-     power tables by challenge index. *)
-  let powers_of = Linear.powers_memo params.field ((n * n) + n) in
+     row tables by challenge index. *)
+  let tables_of = Linear.row_tables_memo params.field ~n in
   let winning table =
     let rec moved v = if v >= n then 0 else if table.(v) <> v then v else moved (v + 1) in
-    collides params g table (powers_of challenges.(moved 0))
+    collides params g table (tables_of challenges.(moved 0))
   in
   match List.find_opt winning candidates with Some t -> t | None -> fallback_table n
 

@@ -56,15 +56,15 @@ let respond_consistently params g (c : commitment) challenges =
   let tree =
     { Spanning_tree.root; parent = Array.copy c.parent; dist = Array.copy c.dist }
   in
-  (* One power table for the shared index replaces a modular exponentiation
-     per row term in both sums. *)
-  let pows = Linear.powers f i ((n * n) + n) in
-  let term_a v = Linear.row_hash_pow f ~powers:pows ~n ~row:v (Graph.closed_neighborhood g v) in
+  (* One pair of row tables for the shared index replaces a modular
+     exponentiation per row term in both sums. *)
+  let tabs = Linear.row_tables f i ~n in
+  let term_a v = Linear.node_hash_tables f tabs g v in
   let rho_of v = c.rho.(v) in
   let term_b v =
     let image = Bitset.create n in
     Bitset.iter (fun u -> Bitset.add image (rho_of u)) (Graph.closed_neighborhood g v);
-    Linear.row_hash_pow f ~powers:pows ~n ~row:(rho_of v) image
+    Linear.row_hash_tables f tabs ~row:(rho_of v) image
   in
   { index = const n i;
     a = Aggregation.honest_sums f tree ~term:term_a;
@@ -107,7 +107,7 @@ let run_body ?fault ?params ~seed g prover =
   let b_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.b in
   (* Verification. *)
   let field_ok x = Aggregation.in_range params.p x in
-  let powers_of = Linear.powers_memo f ((n * n) + n) in
+  let tables_of = Linear.row_tables_memo f ~n in
   let decide v =
     Network.broadcast_consistent_at net root_bc v
     && Network.broadcast_consistent_at net index_bc v
@@ -121,11 +121,11 @@ let run_body ?fault ?params ~seed g prover =
     Bitset.fold (fun u acc -> acc && Aggregation.in_range n rho_u.(u)) neighborhood true
     &&
     let children = Aggregation.children g ~parent:parent_u v in
-    let pows = powers_of i in
-    let own_a = Linear.row_hash_pow f ~powers:pows ~n ~row:v neighborhood in
+    let tabs = tables_of i in
+    let own_a = Linear.row_hash_tables f tabs ~row:v neighborhood in
     let image = Bitset.create n in
     Bitset.iter (fun u -> Bitset.add image rho_u.(u)) neighborhood;
-    let own_b = Linear.row_hash_pow f ~powers:pows ~n ~row:rho_u.(v) image in
+    let own_b = Linear.row_hash_tables f tabs ~row:rho_u.(v) image in
     Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
     && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
     &&
@@ -187,18 +187,24 @@ let adversary_split_broadcast =
 
 (* --- analysis ---------------------------------------------------------------- *)
 
-let acceptance_probability_exact params g rho =
+(* Collision counts of every candidate over the whole family. The tables
+   and the unpermuted hash depend only on the index, so each is built once
+   per index and shared by all candidates. *)
+let collision_counts params g rhos =
   let f = params.field in
   let n = Graph.n g in
-  let m = (n * n) + n in
-  let collisions = ref 0 in
+  let counts = Array.make (Array.length rhos) 0 in
   for i = 0 to params.p - 1 do
-    let powers = Linear.powers f i m in
-    let ha = Linear.graph_hash_pow f ~powers g in
-    let hb = Linear.permuted_graph_hash_pow f ~powers g rho in
-    if ha = hb then incr collisions
+    let tabs = Linear.row_tables f i ~n in
+    let ha = Linear.graph_hash_tables f tabs g in
+    Array.iteri
+      (fun j rho -> if Linear.permuted_graph_hash_tables f tabs g rho = ha then counts.(j) <- counts.(j) + 1)
+      rhos
   done;
-  float_of_int !collisions /. float_of_int params.p
+  counts
+
+let acceptance_probability_exact params g rho =
+  float_of_int (collision_counts params g [| rho |]).(0) /. float_of_int params.p
 
 let best_adversary_bound ?(sample = 20) ~seed params g =
   let n = Graph.n g in
@@ -212,4 +218,7 @@ let best_adversary_bound ?(sample = 20) ~seed params g =
         List.init sample (fun _ -> Perm.random_nonidentity rng n)
       ]
   in
-  List.fold_left (fun best rho -> Float.max best (acceptance_probability_exact params g rho)) 0. candidates
+  Array.fold_left
+    (fun best c -> Float.max best (float_of_int c /. float_of_int params.p))
+    0.
+    (collision_counts params g (Array.of_list candidates))

@@ -1,11 +1,25 @@
-type t = { fd : Unix.file_descr; buf : Buffer.t; mutable closed : bool }
+(* [chunk] is the connection's one socket read buffer, holding unread
+   bytes at [pos, len); [line] collects a line that spans reads. A fresh
+   8 KiB block per read, or a copy of all buffered bytes per line, would
+   be a major-heap allocation each time, so a busy client's peak RSS would
+   grow with its throughput. *)
+type t = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+  mutable closed : bool;
+}
+
+let of_fd fd = { fd; chunk = Bytes.create 8192; pos = 0; len = 0; line = Buffer.create 256; closed = false }
 
 let connect ?(wait = 2.0) path =
   let deadline = Unix.gettimeofday () +. wait in
   let rec go () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Ok { fd; buf = Buffer.create 256; closed = false }
+    | () -> Ok (of_fd fd)
     | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       if Unix.gettimeofday () < deadline then begin
@@ -39,24 +53,28 @@ let send t req =
       close t;
       Error (Printf.sprintf "send: %s" (Unix.error_message e))
 
-(* One line from the socket (blocking); the buffer carries read-ahead between
-   calls so pipelined responses are not lost. *)
+(* One line from the socket (blocking); read-ahead stays in [chunk]
+   between calls so pipelined responses are not lost. *)
 let read_line t =
+  let rec newline i = if i >= t.len then None else if Bytes.get t.chunk i = '\n' then Some i else newline (i + 1) in
   let rec take () =
-    let data = Buffer.contents t.buf in
-    match String.index_opt data '\n' with
+    match newline t.pos with
     | Some i ->
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf (String.sub data (i + 1) (String.length data - i - 1));
-      Ok (String.sub data 0 i)
+      Buffer.add_subbytes t.line t.chunk t.pos (i - t.pos);
+      t.pos <- i + 1;
+      let l = Buffer.contents t.line in
+      Buffer.clear t.line;
+      Ok l
     | None -> (
-      let chunk = Bytes.create 8192 in
-      match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+      Buffer.add_subbytes t.line t.chunk t.pos (t.len - t.pos);
+      t.pos <- 0;
+      t.len <- 0;
+      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
       | 0 ->
         close t;
         Error "connection closed by daemon"
       | n ->
-        Buffer.add_subbytes t.buf chunk 0 n;
+        t.len <- n;
         take ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
       | exception Unix.Unix_error (e, _, _) ->

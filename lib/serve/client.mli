@@ -11,6 +11,10 @@ val connect : ?wait:float -> string -> (t, string) result
 (** Connect to the daemon's socket, retrying for up to [wait] seconds
     (default 2) — covers the race against a daemon that is still starting. *)
 
+val of_fd : Unix.file_descr -> t
+(** A client over an already connected stream socket (a socketpair end in
+    tests). {!close} closes [fd]. *)
+
 val send : t -> Request.t -> (unit, string) result
 (** Write one request line. *)
 

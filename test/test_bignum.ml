@@ -371,7 +371,16 @@ let test_rng_int_bounds () =
   for _ = 1 to 1000 do
     let v = Rng.int rng 7 in
     Alcotest.(check bool) "in range" true (v >= 0 && v < 7)
-  done
+  done;
+  (* Bounds above 2^61 need all 62 bits; the width search once wrapped
+     past 1 lsl 62 and never returned. *)
+  List.iter
+    (fun bound ->
+      for _ = 1 to 100 do
+        let v = Rng.int rng bound in
+        Alcotest.(check bool) "in range above 2^61" true (v >= 0 && v < bound)
+      done)
+    [ (1 lsl 61) + 1; max_int - 56; max_int ]
 
 let test_rng_int_rough_uniform () =
   let rng = Rng.create 99 in

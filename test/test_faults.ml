@@ -187,7 +187,7 @@ let test_composite_deliveries_pinned () =
   Alcotest.(check (array int)) "challenge draws"
     [| 55; 34; 124; 7; 98; 26; 18; 100; 11; 72; 40; 41; 87; 55; 117; 44; 40; 57; 52; 126 |]
     (Network.challenge net ~bits:7 (fun rng -> Rng.bits rng 7));
-  Alcotest.(check (array bool)) "challenge drops" (flags [ 2; 5; 7; 13 ]) (Network.take_missed net);
+  Alcotest.(check (array bool)) "challenge drops" (flags [ 2; 5; 13 ]) (Network.take_missed net);
   Alcotest.(check (array int)) "unicast deliveries"
     [| 0; 37; 74; 111; 20; 57; 94; 3; 40; 76; 114; 23; 61; 97; 6; 43; 80; 117; 26; 63 |]
     (Network.unicast net ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7
@@ -196,6 +196,37 @@ let test_composite_deliveries_pinned () =
     [| 303; 301; 301; 301; 301; 301; 301; 301; 301; 429; 301; 301; 301; 301; 301; 301; 301; 301; 301; 301 |]
     (Network.broadcast_uniform net ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301);
   Alcotest.(check (array bool)) "response drops" (flags [ 18 ]) (Network.take_missed net)
+
+(* A crashed node is silent, so no delivery of it can fail: with every
+   message dropped, only live nodes are marked missed and counted, while a
+   crashed node's slot still goes through delivery (it takes the on_drop
+   default like every other slot). *)
+let test_crashed_nodes_not_dropped () =
+  let module Obs = Ids_obs.Obs in
+  let g = Graph.grid 4 5 in
+  let n = Graph.n g in
+  let before = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled before)
+    (fun () ->
+      let net = Network.create ~fault:(Fault.make ~drop:1.0 ~crash:0.3 ()) ~seed:3 g in
+      let live = Array.init n (fun v -> not (Network.crashed net v)) in
+      let live_count = Array.fold_left (fun a l -> if l then a + 1 else a) 0 live in
+      Alcotest.(check bool) "some crashed, some live" true (live_count > 0 && live_count < n);
+      ignore (Network.challenge net ~bits:3 (fun rng -> Rng.bits rng 3));
+      Alcotest.(check (array bool)) "challenge: live nodes missed" live (Network.take_missed net);
+      Alcotest.(check (array int)) "unicast: every slot takes the default" (Array.make n (-1))
+        (Network.unicast net ~on_drop:(-1) ~bits:3 (Array.make n 5));
+      Alcotest.(check (array bool)) "defaulted drops mark nothing" (Array.make n false) (Network.take_missed net);
+      ignore (Network.broadcast_uniform net ~bits:3 5);
+      Alcotest.(check (array bool)) "broadcast: live nodes missed" live (Network.take_missed net);
+      let s = Obs.snapshot () in
+      Alcotest.(check int) "decisions: live nodes only" (3 * live_count) (Obs.counter_total s "net.fault_decisions");
+      Alcotest.(check int) "drops: live nodes only" (3 * live_count) (Obs.counter_total s "net.fault_drops"))
 
 (* --- equivocation -------------------------------------------------------------- *)
 
@@ -565,7 +596,8 @@ let suite =
         Alcotest.test_case "drop rejects or defaults" `Quick test_drop_rejects_or_defaults;
         Alcotest.test_case "dropped challenge rejects" `Quick test_dropped_challenge_rejects;
         Alcotest.test_case "corrupt hooks always change the value" `Quick
-          test_corrupt_hooks_change_value
+          test_corrupt_hooks_change_value;
+        Alcotest.test_case "crashed nodes neither dropped nor counted" `Quick test_crashed_nodes_not_dropped
       ]
       @ gni_fault_cases );
     ( "adversary-registry",

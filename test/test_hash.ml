@@ -158,11 +158,11 @@ let test_powers_consistency () =
   let rho = Perm.random rng 8 in
   for _ = 1 to 20 do
     let a = f_int.Field.random rng in
-    let powers = Linear.powers f_int a ((8 * 8) + 8) in
-    Alcotest.(check int) "graph hash" (Linear.graph_hash f_int a g) (Linear.graph_hash_pow f_int ~powers g);
+    let tabs = Linear.row_tables f_int a ~n:8 in
+    Alcotest.(check int) "graph hash" (Linear.graph_hash f_int a g) (Linear.graph_hash_tables f_int tabs g);
     Alcotest.(check int) "permuted hash"
       (Linear.permuted_graph_hash f_int a g rho)
-      (Linear.permuted_graph_hash_pow f_int ~powers g rho)
+      (Linear.permuted_graph_hash_tables f_int tabs g rho)
   done
 
 let nat_check = Alcotest.testable Nat.pp Nat.equal

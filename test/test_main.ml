@@ -6,4 +6,4 @@ let () =
     @ Test_obs.suite
     @ Test_strategy.suite
     @ Test_features.suite @ Test_properties.suite @ Test_integration.suite @ Test_setup.suite
-    @ Test_serve.suite @ Test_telemetry.suite @ Test_scale.suite)
+    @ Test_serve.suite @ Test_telemetry.suite @ Test_scale.suite @ Test_row_pins.suite)

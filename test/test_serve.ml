@@ -500,6 +500,45 @@ let test_bench_serve_shape () =
         = Some (Ids_obs.Json.Bool true))
   end
 
+(* The client's one read buffer must carry a partial line across reads:
+   a line split over two writes (the second arriving while the client is
+   blocked in recv), a line longer than the 8 KiB buffer, and two lines
+   in one write all parse whole and in order. *)
+let test_client_read_buffer () =
+  let module Client = Ids_serve.Client in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let client = Client.of_fd a in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Unix.close b)
+    (fun () ->
+      let line id = Request.response_to_json (Request.Pong { id }) ^ "\n" in
+      let put s = ignore (Unix.write_substring b s 0 (String.length s)) in
+      let next () =
+        match Client.recv client with
+        | Ok r -> Request.response_id r
+        | Error e -> Alcotest.fail e
+      in
+      let split = line "split" in
+      let cut = String.length split / 2 in
+      put (String.sub split 0 cut);
+      let late =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.05;
+            put (String.sub split cut (String.length split - cut)))
+      in
+      Alcotest.(check string) "split line" "split" (next ());
+      Domain.join late;
+      let long_id = String.make 10_000 'x' in
+      let long = line long_id in
+      put (String.sub long 0 5000);
+      put (String.sub long 5000 (String.length long - 5000));
+      Alcotest.(check string) "line longer than the buffer" long_id (next ());
+      put (line "first" ^ line "second");
+      Alcotest.(check string) "first of two" "first" (next ());
+      Alcotest.(check string) "second of two" "second" (next ()))
+
 let suite =
   [ ( "serve",
       [ Alcotest.test_case "supervisor: backoff schedule" `Quick test_backoff_schedule;
@@ -523,6 +562,7 @@ let suite =
           test_framed_hostile_headers;
         Alcotest.test_case "framed log: write_batch" `Quick test_framed_write_batch;
         Alcotest.test_case "json: nesting depth limit" `Quick test_json_depth_limit;
-        Alcotest.test_case "BENCH_serve.json shape" `Quick test_bench_serve_shape
+        Alcotest.test_case "BENCH_serve.json shape" `Quick test_bench_serve_shape;
+        Alcotest.test_case "client: lines across reads" `Quick test_client_read_buffer
       ] )
   ]
