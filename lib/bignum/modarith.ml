@@ -80,6 +80,7 @@ let barrett_reduce br x =
 
 type ctx = {
   modulus : Nat.t;
+  native : int option; (* the modulus, when it fits one limb *)
   barrett : barrett;
   mont : Montgomery.t option; (* odd moduli >= 3 only *)
 }
@@ -92,7 +93,7 @@ let make_ctx m =
     let limbs = Nat.to_limbs m in
     if limbs.(0) land 1 = 1 && Nat.compare m Nat.two > 0 then Some (Montgomery.make m) else None
   in
-  { modulus = m; barrett = barrett_make m; mont }
+  { modulus = m; native = Nat.to_int_opt m; barrett = barrett_make m; mont }
 
 (* One cache per domain: contexts are immutable once built, but the table
    itself must not be shared across the engine's worker domains. Bounded so a
@@ -113,8 +114,31 @@ let ctx m =
     c
 
 let reduce c a = if Nat.compare a c.modulus >= 0 then Nat.rem a c.modulus else a
-let ctx_add c a b = add (reduce c a) (reduce c b) c.modulus
-let ctx_sub c a b = sub (reduce c a) (reduce c b) c.modulus
+
+(* A one-limb modulus p (below 2^62) runs add, sub, mul and pow_int on
+   native residues: each operand becomes an int below p (an unreduced or
+   multi-limb one through Nat.rem first, as [reduce] does), the sum is
+   formed without leaving the native range and the product by the C
+   widening multiply. The canonical Nat.of_int of the result is the value
+   the limb path returns, without a limb array per intermediate. *)
+let residue c p a =
+  match Nat.to_int_opt a with
+  | Some v -> if v < p then v else v mod p
+  | None -> Nat.to_int (Nat.rem a c.modulus)
+
+let ctx_add c a b =
+  match c.native with
+  | Some p ->
+    let s = residue c p a - p + residue c p b in
+    Nat.of_int (if s < 0 then s + p else s)
+  | None -> add (reduce c a) (reduce c b) c.modulus
+
+let ctx_sub c a b =
+  match c.native with
+  | Some p ->
+    let d = residue c p a - residue c p b in
+    Nat.of_int (if d < 0 then d + p else d)
+  | None -> sub (reduce c a) (reduce c b) c.modulus
 
 let barrett_mul c a b = barrett_reduce c.barrett (Nat.mul a b)
 
@@ -126,7 +150,10 @@ let barrett_mul c a b = barrett_reduce c.barrett (Nat.mul a b)
    Operands must be below the modulus for the q3 <= q <= q3 + 2 guarantee,
    hence the reduce pre-passes; physically equal arguments route to the
    squaring kernel inside [Nat.mul]. *)
-let ctx_mul c a b = barrett_mul c (reduce c a) (reduce c b)
+let ctx_mul c a b =
+  match c.native with
+  | Some p -> Nat.of_int (Kernel.mulmod62 (residue c p a) (residue c p b) p)
+  | None -> barrett_mul c (reduce c a) (reduce c b)
 
 (* Even-modulus exponentiation: the same 4-bit window over exponent limbs as
    {!Montgomery.pow}, with Barrett-reduced products. *)
@@ -171,4 +198,11 @@ let ctx_pow c a e =
 
 let ctx_pow_int c a e =
   if e < 0 then invalid_arg "Modarith.ctx_pow_int: negative exponent";
-  ctx_pow c a (Nat.of_int e)
+  match c.native with
+  | Some p ->
+    let rec go acc b e =
+      if e = 0 then acc
+      else go (if e land 1 = 1 then Kernel.mulmod62 acc b p else acc) (Kernel.mulmod62 b b p) (e lsr 1)
+    in
+    Nat.of_int (go 1 (residue c p a) e)
+  | None -> ctx_pow c a (Nat.of_int e)

@@ -36,9 +36,12 @@ val inv_int : int -> int -> int option
     The functions above pay a full long division per operation and one per
     exponent bit. A {!ctx} precomputes everything reusable for a fixed
     modulus — a Montgomery context (odd moduli) and a Barrett [mu] constant
-    (any parity) — so the protocol hot paths do no division at all. Results
-    are bit-identical to the naive functions, which remain the reference
-    oracle for cross-check tests. *)
+    (any parity) — so the protocol hot paths do no division at all. A
+    modulus that fits one limb ([m < 2^62]) runs {!ctx_add}, {!ctx_sub},
+    {!ctx_mul} and {!ctx_pow_int} on native ints instead (operands reduced
+    first, products through {!Kernel.mulmod62}); the modulus picks the path.
+    Results are bit-identical to the naive functions, which remain the
+    reference oracle for cross-check tests. *)
 
 type ctx
 
