@@ -23,7 +23,8 @@ test:
 # (two workers racing to build an instance's candidate set), and E1-E3 and
 # E12 at a quarter budget (every row-hash caller end to end, E2 over both
 # of Protocol 2's field paths: one-limb primes up to n = 12, multi-limb
-# above). The suite
+# above), and the E13 fault sweep at a quarter budget (every protocol's
+# verifier under every fault class). The suite
 # runs twice: once on the C bignum kernels, once on the pure-OCaml
 # fallback, so the fallback's bit-identity is tested, not assumed.
 check:
@@ -31,6 +32,7 @@ check:
 	IDS_BIGNUM_KERNEL=ocaml dune test --force && \
 	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e5 e9 e11 && \
 	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e1 e2 e3 e12 && \
+	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e13 && \
 	dune exec bench/modarith/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/setup/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/frontier/main.exe -- --smoke -o /dev/null && \

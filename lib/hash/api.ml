@@ -13,6 +13,13 @@ let random_spec f ~k rng =
 
 let spec_bits f ~k = ((2 * k) + 1) * f.Field.bits
 
+let spec_ok ~k ~in_field spec =
+  Array.length spec.points = k
+  && Array.length spec.coeffs = k
+  && Array.for_all in_field spec.points
+  && Array.for_all in_field spec.coeffs
+  && in_field spec.shift
+
 let row_term f spec ~n ~row s = Array.map (fun a -> Linear.row_hash f a ~n ~row s) spec.points
 
 type 'a tables = 'a Linear.tables array

@@ -42,6 +42,11 @@ val random_spec : 'a Field.t -> k:int -> Ids_bignum.Rng.t -> 'a spec
 val spec_bits : 'a Field.t -> k:int -> int
 (** Bits to transmit a spec: [(2k + 1)] field elements. *)
 
+val spec_ok : k:int -> in_field:('a -> bool) -> 'a spec -> bool
+(** The range check a verifier applies to a spec the prover sent: [k]
+    points and [k] coefficients, and every element satisfies [in_field].
+    A spec that passes is safe to hand to {!tables} and {!finalize}. *)
+
 val row_term : 'a Field.t -> 'a spec -> n:int -> row:int -> Ids_graph.Bitset.t -> 'a array
 (** The inner-layer contribution of one matrix row: the vector
     [(h_{a_i}(\[row, s\]))_i]. This is what a single network node computes

@@ -77,6 +77,14 @@ let permuted_node_hash_tables f ((lo, hi) : _ tables) g rho v =
   f.Field.mul hi.(Perm.apply rho v)
     (Bitset.fold (fun w acc -> f.Field.add acc (image w)) (Graph.neighbors g v) (image v))
 
+(* An arbitrary map may send two neighbours to one vertex, so the image is
+   built as a set: each image vertex counts once, as in rho(N[v]). *)
+let mapped_node_hash_tables f tabs g ~map v =
+  let image = Bitset.create (Graph.n g) in
+  Bitset.iter (fun u -> Bitset.add image map.(u)) (Graph.neighbors g v);
+  Bitset.add image map.(v);
+  row_hash_tables f tabs ~row:map.(v) image
+
 let permuted_graph_hash_tables f tabs g rho =
   let acc = ref f.Field.zero in
   for v = 0 to Graph.n g - 1 do

@@ -94,6 +94,15 @@ val permuted_node_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> 
     (rho is injective) without building the image set.
     @raise Invalid_argument if [t] was built for another [n]. *)
 
+val mapped_node_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> map:int array -> int -> 'a
+(** [mapped_node_hash_tables f t g ~map v] is
+    [row_hash_tables f t ~row:map.(v) { map.(u) | u in N\[v\] }]: node
+    [v]'s row of the matrix mapped by an arbitrary vertex map, which a
+    cheating prover need not make injective (each image vertex counts
+    once). Equal to {!permuted_node_hash_tables} when [map] is a
+    permutation. Every [map.(u)] for [u] in [N\[v\]] must be a vertex.
+    @raise Invalid_argument if [map.(v)] is not a vertex of [g]. *)
+
 val graph_hash_tables : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> 'a
 (** {!graph_hash} from the tables of its index. *)
 

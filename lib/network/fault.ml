@@ -159,3 +159,12 @@ let swap_entries rng a =
     a.(j) <- tmp;
     a
   end
+
+let corrupt_entry corrupt rng row =
+  if Array.length row = 0 then row
+  else begin
+    let row = Array.copy row in
+    let i = Rng.int rng (Array.length row) in
+    row.(i) <- corrupt rng row.(i);
+    row
+  end

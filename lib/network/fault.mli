@@ -23,7 +23,7 @@
       crashed node as rejecting, [Crash_vacuous] as vacuously accepting.
     - {b equivocate}: on every broadcast round the prover sends one
       deterministically chosen victim node a corrupted copy — exactly the
-      attack {!Network.broadcast_consistent_at} exists to catch. Requires the
+      attack {!Network.neighbors_agree} exists to catch. Requires the
       round's [corrupt] hook (the hooks below always return a value distinct
       from their input, so on a connected graph the neighbor comparison
       catches the split with probability 1).
@@ -137,3 +137,9 @@ val swap_entries : Ids_bignum.Rng.t -> int array -> int array
     permutation image tables, whose entries are pairwise distinct — for
     arrays with repeated values the result may equal the input). Arrays of
     length < 2 are returned unchanged. *)
+
+val corrupt_entry : (Ids_bignum.Rng.t -> 'a -> 'a) -> Ids_bignum.Rng.t -> 'a array -> 'a array
+(** [corrupt_entry corrupt] garbles one uniformly chosen entry of a copy of
+    a row with [corrupt] (a row of per-copy aggregates, say). It draws the
+    position first, then lets [corrupt] draw. Empty rows are returned
+    unchanged. *)

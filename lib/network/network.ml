@@ -164,13 +164,9 @@ let broadcast t ?corrupt ?on_drop ~bits responses = broadcast_round t ?corrupt ?
 let broadcast_uniform t ?corrupt ?on_drop ~bits value =
   broadcast_round t ?corrupt ?on_drop ~bits ~fresh:true (Array.make (n t) value)
 
-let broadcast_consistent_at ?(equal = fun a b -> a = b) t values v =
-  let ok = ref true in
-  (* Crashed neighbors are silent, so there is no copy to compare against. *)
-  Bitset.iter
-    (fun u -> if (not (crashed t u)) && not (equal values.(u) values.(v)) then ok := false)
-    (Graph.neighbors t.graph v);
-  !ok
+(* Crashed neighbors are silent, so there is no copy to compare against. *)
+let neighbors_agree t same v =
+  Bitset.fold (fun u ok -> ok && (crashed t u || same u v)) (Graph.neighbors t.graph v) true
 
 let decide t out =
   let accepted = ref true in

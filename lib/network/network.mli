@@ -86,7 +86,7 @@ val unicast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bit
 
 val broadcast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bits:int -> 'r array -> 'r array
 (** Merlin broadcast round: like {!unicast}, but the values are expected to
-    be all equal; use {!broadcast_consistent_at} in the verification phase to
+    be all equal; use {!neighbors_agree} in the verification phase to
     apply the paper's neighbor-comparison check. Under an equivocating fault
     spec, one keyed victim node's copy is additionally corrupted ([corrupt]
     hook required) — the attack the consistency check exists to catch. *)
@@ -95,18 +95,14 @@ val broadcast_uniform : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop
 (** Honest broadcast: replicate one value to all nodes and charge it. The
     faulted deliveries are written into the one replicated array. *)
 
-val broadcast_consistent_at : ?equal:('r -> 'r -> bool) -> t -> 'r array -> int -> bool
-(** [broadcast_consistent_at t values v] is the local broadcast check at
-    node [v]: its copy equals every (non-crashed) neighbor's copy.
-
-    [equal] defaults to polymorphic equality — correct for the immediate
-    payloads used here (ints, flat int arrays, normalized {!Ids_bignum.Nat}
-    values), but a silent trap for any abstract numeric type whose values
-    can be structurally distinct yet semantically equal (e.g. an
-    un-normalized bignum, a hash-consed value, anything cached or lazy).
-    Pass the payload's own equality ([Nat.equal], ...) whenever one exists:
-    a structural mismatch between semantically equal copies would make an
-    honest broadcast look like an equivocation and destroy completeness. *)
+val neighbors_agree : t -> (int -> int -> bool) -> int -> bool
+(** [neighbors_agree t same v] is the local broadcast check at node [v]:
+    [same u v] holds for every neighbor [u] that did not crash (a crashed
+    neighbor is silent, so there is no copy to compare). [same u v]
+    compares all of the round's broadcast values in one pass. Give it each
+    payload's own equality ([Nat.equal], ...): polymorphic equality on a
+    type with structurally distinct but equal values would make an honest
+    broadcast look like an equivocation. *)
 
 val decide : t -> (int -> bool) -> bool
 (** [decide t out] runs the local decision [out v] at every node and accepts

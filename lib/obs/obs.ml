@@ -100,11 +100,12 @@ let span ?(round = -1) ?(node = -1) name f =
       raise e
   end
 
-(* Cell keys pack (metric id, round, node) into one int: 20 bits of id, 21
-   bits each for round and node stored off by one so -1 (unlabeled) maps to
-   0. Protocol rounds and node ids are far below 2^21 - 2. *)
-let pack id round node = (id lsl 42) lor ((round + 1) lsl 21) lor (node + 1)
-let unpack key = (key lsr 42, ((key lsr 21) land 0x1fffff) - 1, (key land 0x1fffff) - 1)
+(* Cell keys pack (metric id, round, node) into one int: 11 bits of id, 20
+   of round and 31 of node (past Graph_io's 2^24 nodes), round and node
+   stored off by one so -1 (unlabeled) maps to 0. *)
+let pack id round node = (id lsl 51) lor ((round + 1) lsl 31) lor (node + 1)
+let unpack key = (key lsr 51, ((key lsr 31) land 0xfffff) - 1, (key land 0x7fffffff) - 1)
+let label_fits ~round ~node = round >= -1 && round < 0xfffff && node >= -1 && node < 0x7fffffff
 
 let bump sh tbl key k =
   sh.ops <- sh.ops + 1;
@@ -145,14 +146,14 @@ let set_metric_filter f =
   Mutex.unlock names_mu
 
 let register name =
-  Mutex.lock names_mu;
-  let id = !next_id in
-  incr next_id;
-  Hashtbl.add names id name;
-  let live = ref (filter_matches name !filter) in
-  lives := (name, live) :: !lives;
-  Mutex.unlock names_mu;
-  (id, live)
+  Mutex.protect names_mu (fun () ->
+      let id = !next_id in
+      if id >= 1 lsl 11 then invalid_arg "Obs: metric id space exhausted";
+      incr next_id;
+      Hashtbl.add names id name;
+      let live = ref (filter_matches name !filter) in
+      lives := (name, live) :: !lives;
+      (id, live))
 
 module Counter = struct
   type t = { id : int; live : bool ref }
@@ -163,8 +164,11 @@ module Counter = struct
 
   let add_cell c ~round ~node k =
     if !enabled_flag && !(c.live) then
-      let sh = shard () in
-      bump sh sh.cells (pack c.id round node) k
+      if not (label_fits ~round ~node) then
+        invalid_arg "Obs.Counter.add_cell: round or node label out of range"
+      else
+        let sh = shard () in
+        bump sh sh.cells (pack c.id round node) k
 
   let add c k =
     if !enabled_flag && !(c.live) then

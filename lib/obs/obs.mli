@@ -72,13 +72,18 @@ module Counter : sig
   val make : string -> t
   (** Register a counter. Names should be unique; registering the same name
       twice yields two counters whose cells are merged under one name in
-      snapshots. *)
+      snapshots.
+      @raise Invalid_argument past 2048 registered counters and histograms. *)
 
   val add : t -> int -> unit
   (** Unlabeled increment (no round/node cell). No-op when tracing is off. *)
 
   val add_cell : t -> round:int -> node:int -> int -> unit
-  (** Increment the (round, node) cell. No-op when tracing is off. *)
+  (** Increment the (round, node) cell. No-op when tracing is off.
+      Labels range over [-1] (unlabeled) to [2^20 - 2] for rounds and to
+      [2^31 - 2] for nodes.
+      @raise Invalid_argument for a label outside that range while tracing
+      is on. *)
 end
 
 (** Log-scale histograms: observation [v] lands in bucket [bits v] (the
@@ -88,6 +93,9 @@ module Histo : sig
   type t
 
   val make : string -> t
+  (** Register a histogram; counters and histograms share one id space.
+      @raise Invalid_argument past 2048 registered counters and histograms. *)
+
   val observe : t -> int -> unit
   (** No-op when tracing is off. *)
 

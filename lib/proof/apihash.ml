@@ -165,73 +165,27 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
      aggregates. *)
   let parent_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.parent in
   let dist_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.dist in
-  let agg_corrupt rng row =
-    if Array.length row = 0 then row
-    else begin
-      let row = Array.copy row in
-      let i = Rng.int rng (Array.length row) in
-      row.(i) <- field_corrupt rng row.(i);
-      row
-    end
-  in
   let agg_bc =
-    Network.unicast net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits)
+    Network.unicast net ~corrupt:(Fault.corrupt_entry field_corrupt) ~bits:(k * f.Field.bits)
       (Array.init n (fun v -> Array.sub a.agg (v * k) k))
   in
   (* A row of the wrong arity (a cheating prover's) reads as -1, which the
-     range check below rejects deterministically. *)
+     range check rejects deterministically. *)
   let agg v i = if Array.length agg_bc.(v) = k then agg_bc.(v).(i) else -1 in
-  (* Local verification, one node at a time inside decide. *)
+  (* Local verification, one node at a time inside decide. Power tables
+     are built per delivered point vector (one set on an honest run). *)
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
-  (* Power tables per delivered point vector (one set on an honest run),
-     and one k-slot scratch for the node being checked. *)
   let tables_of = Api.tables_memo f ~n in
-  let term = Array.make k 0 in
-  let check v =
-    let nbrs_consistent =
-      Ids_graph.Bitset.fold
-        (fun u acc ->
-          acc
-          && (Network.crashed net u
-             || (spec_eq spec_bc.(u) spec_bc.(v)
-                && claim_bc.(u) = claim_bc.(v)
-                && root_bc.(u) = root_bc.(v))))
-        (Graph.neighbors g v) true
-    in
-    let spec = spec_bc.(v) and claim = claim_bc.(v) and rt = root_bc.(v) in
-    nbrs_consistent
-    && Aggregation.in_range n rt
-    && field_ok claim
-    && Array.length spec.Api.points = k
-    && Array.for_all field_ok spec.Api.points
-    && Array.for_all field_ok spec.Api.coeffs
-    && field_ok spec.Api.shift
-    && Aggregation.tree_check g ~root:rt ~parent:parent_bc ~dist:dist_bc v
-    &&
-    let ok = ref true in
-    for i = 0 to k - 1 do
-      if not (field_ok (agg v i)) then ok := false
-    done;
-    !ok
-    &&
-    (* Own term from the shared O(degree) row, then the Lemma 3.3 subtree
-       equation per inner copy. *)
-    let () = Api.node_term_into f (tables_of spec) g v term 0 in
-    let children = Aggregation.children g ~parent:parent_bc v in
-    let copy_ok i =
-      let expected =
-        List.fold_left (fun acc u -> f.Field.add acc (agg u i)) term.(i) children
-      in
-      agg v i = expected
-    in
-    let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
-    all_copies 0
-    &&
-    if v = rt then
-      f.Field.equal (Api.finalize f spec (Array.init k (agg v))) claim
-      && v = root && spec_eq spec root_spec
-    else true
+  let check =
+    Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_bc ~dist:dist_bc
+      ~quantities:k ~claimed:agg
+      ~own:(fun v dst -> Api.node_term_into f (tables_of spec_bc.(v)) g v dst 0)
+      ~same:(fun u v -> claim_bc.(u) = claim_bc.(v) && spec_eq spec_bc.(u) spec_bc.(v))
+      ~local:(fun v -> field_ok claim_bc.(v) && Api.spec_ok ~k ~in_field:field_ok spec_bc.(v))
+      ~at_root:(fun v ->
+        f.Field.equal (Api.finalize f spec_bc.(v) (Array.init k (agg v))) claim_bc.(v)
+        && v = root && spec_eq spec_bc.(v) root_spec)
   in
   let accepted = Network.decide net check in
   Outcome.of_cost ~accepted ~prover:"apihash" (Network.cost net)

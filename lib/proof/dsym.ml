@@ -1,7 +1,6 @@
 module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
-module Family = Ids_graph.Family
 module Spanning_tree = Ids_graph.Spanning_tree
 module Network = Ids_network.Network
 module Fault = Ids_network.Fault
@@ -134,23 +133,17 @@ let run_body ?fault ?params ~seed inst prover =
   let b_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.b in
   let field_ok x = Aggregation.in_range params.p x in
   let tables_of = Linear.row_tables_memo f ~n:size in
-  let decide v =
-    structure_ok inst v
-    && Network.broadcast_consistent_at net index_bc v
-    && Network.broadcast_consistent_at net root_bc v
-    &&
-    let i = index_bc.(v) and root = root_bc.(v) in
-    Aggregation.in_range size root && field_ok i && field_ok a_u.(v) && field_ok b_u.(v)
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let children = Aggregation.children g ~parent:parent_u v in
-    let tabs = tables_of i in
-    let own_a = Linear.node_hash_tables f tabs g v in
-    let own_b = Linear.permuted_node_hash_tables f tabs g sigma v in
-    Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
-    && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
-    &&
-    if v = root then a_u.(v) = b_u.(v) && Perm.apply sigma v <> v && i = challenges.(v) else true
+  let decide =
+    Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_u ~dist:dist_u
+      ~quantities:2
+      ~claimed:(fun v j -> if j = 0 then a_u.(v) else b_u.(v))
+      ~own:(fun v dst ->
+        let tabs = tables_of index_bc.(v) in
+        dst.(0) <- Linear.node_hash_tables f tabs g v;
+        dst.(1) <- Linear.permuted_node_hash_tables f tabs g sigma v)
+      ~same:(fun u v -> index_bc.(u) = index_bc.(v))
+      ~local:(fun v -> structure_ok inst v && field_ok index_bc.(v))
+      ~at_root:(fun v -> a_u.(v) = b_u.(v) && Perm.apply sigma v <> v && index_bc.(v) = challenges.(v))
   in
   let accepted = Network.decide net decide in
   Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net)

@@ -168,46 +168,40 @@ let commit_with (search : search) params (t : t) (ch : challenge) =
     dist = Array.copy tree.Spanning_tree.dist
   }
 
-(* Node v's inner API term (the sum of its rows' terms) and its audit terms. *)
-let node_terms params (t : t) spec audit_point tables b v =
-  let f = params.field and n = size t in
+(* Node v's inner API term (the sum of its rows' terms) and its audit
+   terms, written to dst.(off .. off + k + audits - 1). *)
+let node_terms_into params (t : t) spec audit_point tables b v dst off =
+  let f = params.field and k = params.copies in
   let owned, audit_rows = t.layout tables b v in
-  let row_term (row, content) = Api.row_term f spec ~n:t.width ~row content in
-  let term =
-    match owned with
-    | [] -> Api.zero_term f ~k:params.copies
-    | r :: rest -> List.fold_left (fun acc r -> Api.combine f acc (row_term r)) (row_term r) rest
-  in
-  let audit j =
-    if j >= Array.length audit_rows then f.Field.zero
-    else begin
-      let row, content = audit_rows.(j) in
-      Linear.row_hash f audit_point ~n ~row content
-    end
-  in
-  (term, Array.init t.audits audit)
+  Array.fill dst off (k + t.audits) f.Field.zero;
+  List.iter
+    (fun (row, content) ->
+      Array.iteri (fun i z -> dst.(off + i) <- f.Field.add dst.(off + i) z) (Api.row_term f spec ~n:t.width ~row content))
+    owned;
+  for j = 0 to min t.audits (Array.length audit_rows) - 1 do
+    let row, content = audit_rows.(j) in
+    dst.(off + k + j) <- Linear.row_hash f audit_point ~n:(size t) ~row content
+  done
 
+(* All k + audits quantities aggregate in one pass; after a miss every
+   aggregate is zero. *)
 let honest_reveal params (t : t) (_ch : challenge) (c : commit) audit =
   let n = size t and f = params.field and k = params.copies in
+  let w = k + t.audits in
   let root = c.root.(0) in
   let audit_point = audit.(root) in
-  if c.miss.(0) then
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun _ -> Array.make k 0);
-      audits = Array.init t.audits (fun _ -> Array.make n 0)
-    }
-  else begin
-    let tree = { Spanning_tree.root; parent = Array.copy c.parent; dist = Array.copy c.dist } in
+  let sums = Array.make (n * w) f.Field.zero in
+  if not c.miss.(0) then begin
     let tables = Array.map (fun per_node -> per_node.(0)) c.tables in
-    let terms = Array.init n (node_terms params t c.spec_echo.(0) audit_point tables c.b.(0)) in
-    let sums term = Aggregation.honest_sums f tree ~term in
-    (* Vector aggregation: run the scalar helper once per inner copy. *)
-    let per_copy = Array.init k (fun i -> sums (fun v -> (fst terms.(v)).(i))) in
-    { audit_echo = const n audit_point;
-      agg = Array.init n (fun v -> Array.init k (fun i -> per_copy.(i).(v)));
-      audits = Array.init t.audits (fun j -> sums (fun v -> (snd terms.(v)).(j)))
-    }
-  end
+    for v = 0 to n - 1 do
+      node_terms_into params t c.spec_echo.(0) audit_point tables c.b.(0) v sums (v * w)
+    done;
+    Aggregation.accumulate f { Spanning_tree.root; parent = c.parent; dist = c.dist } ~k:w sums
+  end;
+  { audit_echo = const n audit_point;
+    agg = Array.init n (fun v -> Array.sub sums (v * w) k);
+    audits = Array.init t.audits (fun j -> Array.init n (fun v -> sums.((v * w) + k + j)))
+  }
 
 let honest = { name = "honest"; commit = commit_with find_preimage; reveal = honest_reveal }
 
@@ -223,7 +217,7 @@ let is_perm n table =
 
 (* One repetition inside a running network; returns per-node validity. *)
 let run_repetition params (t : t) net prover =
-  let n = size t and g = t.graph in
+  let n = size t in
   let f = params.field and k = params.copies in
   (* Arthur 1: spec + target candidates. *)
   let spec_bits = Api.spec_bits f ~k in
@@ -235,15 +229,6 @@ let run_repetition params (t : t) net prover =
   let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
   let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
   let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
-  let agg_corrupt rng a =
-    if Array.length a = 0 then a
-    else begin
-      let a = Array.copy a in
-      let i = Rng.int rng (Array.length a) in
-      a.(i) <- field_corrupt rng a.(i);
-      a
-    end
-  in
   let miss_bc = Network.broadcast net ~corrupt:Fault.flip_bool ~bits:1 c.miss in
   let b_bc = Network.broadcast net ~corrupt:(Fault.flip_int_bit ~bits:1) ~bits:1 c.b in
   let tables_bc =
@@ -259,52 +244,40 @@ let run_repetition params (t : t) net prover =
   (* Merlin 2: aggregates. *)
   let r = prover.reveal params t ch c audit in
   let audit_echo_bc = Network.broadcast net ~corrupt:field_corrupt ~bits:f.Field.bits r.audit_echo in
-  let agg_u = Network.unicast net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits) r.agg in
+  let agg_u = Network.unicast net ~corrupt:(Fault.corrupt_entry field_corrupt) ~bits:(k * f.Field.bits) r.agg in
   let audits_u = Array.map (Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits) r.audits in
-  (* Local verification. *)
+  (* Local verification. A k-row of the wrong arity reads as -1, which the
+     range check rejects, so a parent never indexes past a short row. *)
   let field_ok x = Aggregation.in_range params.q x in
-  let consistent bc v = Network.broadcast_consistent_at net bc v in
+  let claimed v j =
+    if j >= k then audits_u.(j - k).(v)
+    else if Array.length agg_u.(v) = k then agg_u.(v).(j)
+    else -1
+  in
   let shape_ok = Array.length tables_bc = t.tables && Array.length audits_u = t.audits in
-  let valid_at v =
-    shape_ok && consistent miss_bc v && consistent b_bc v
-    && Array.for_all (fun bc -> consistent bc v) tables_bc
-    && consistent root_bc v && consistent spec_echo_bc v && consistent target_echo_bc v
-    && consistent audit_echo_bc v
-    && (not miss_bc.(v))
-    &&
-    let tables = Array.map (fun bc -> bc.(v)) tables_bc and b = b_bc.(v) and root = root_bc.(v) in
-    let spec = spec_echo_bc.(v) and target = target_echo_bc.(v) in
-    let audit_pt = audit_echo_bc.(v) in
-    (b = 0 || b = 1)
-    && Array.for_all (is_perm n) tables
-    && Aggregation.in_range n root
-    && field_ok target && field_ok audit_pt
-    && Array.for_all field_ok spec.Api.points
-    && Array.for_all field_ok spec.Api.coeffs
-    && field_ok spec.Api.shift
-    && Array.length spec.Api.points = k
-    && Array.length agg_u.(v) = k
-    && Array.for_all field_ok agg_u.(v)
-    && Array.for_all (fun a -> field_ok a.(v)) audits_u
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let children = Aggregation.children g ~parent:parent_u v in
-    let term, audit_terms = node_terms params t spec audit_pt tables b v in
-    let copy_ok i =
-      let expected = List.fold_left (fun acc u -> f.Field.add acc agg_u.(u).(i)) term.(i) children in
-      f.Field.equal agg_u.(v).(i) expected
-    in
-    let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
-    all_copies 0
-    && Array.for_all2
-         (fun own claimed -> Aggregation.subtree_equation f ~own ~claimed ~children v)
-         audit_terms audits_u
-    &&
-    if v = root then
-      f.Field.equal (Api.finalize f spec agg_u.(v)) target
-      && Array.for_all (fun a -> f.Field.equal a.(v) audits_u.(0).(v)) audits_u
-      && spec = specs.(v) && target = targets.(v) && audit_pt = audit.(v)
-    else true
+  let tables_at v = Array.map (fun bc -> bc.(v)) tables_bc in
+  let valid_at =
+    Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_u ~dist:dist_u
+      ~quantities:(k + t.audits) ~claimed
+      ~own:(fun v dst ->
+        node_terms_into params t spec_echo_bc.(v) audit_echo_bc.(v) (tables_at v) b_bc.(v) v dst 0)
+      ~same:(fun u v ->
+        miss_bc.(u) = miss_bc.(v) && b_bc.(u) = b_bc.(v)
+        && Array.for_all (fun bc -> bc.(u) = bc.(v)) tables_bc
+        && spec_echo_bc.(u) = spec_echo_bc.(v)
+        && target_echo_bc.(u) = target_echo_bc.(v)
+        && audit_echo_bc.(u) = audit_echo_bc.(v))
+      ~local:(fun v ->
+        shape_ok && (not miss_bc.(v))
+        && (b_bc.(v) = 0 || b_bc.(v) = 1)
+        && Array.for_all (fun bc -> is_perm n bc.(v)) tables_bc
+        && field_ok target_echo_bc.(v) && field_ok audit_echo_bc.(v)
+        && Api.spec_ok ~k ~in_field:field_ok spec_echo_bc.(v))
+      ~at_root:(fun v ->
+        f.Field.equal (Api.finalize f spec_echo_bc.(v) agg_u.(v)) target_echo_bc.(v)
+        && Array.for_all (fun a -> f.Field.equal a.(v) audits_u.(0).(v)) audits_u
+        && spec_echo_bc.(v) = specs.(v) && target_echo_bc.(v) = targets.(v)
+        && audit_echo_bc.(v) = audit.(v))
   in
   let valid = Array.init n valid_at in
   (* Scope delivery failures to this repetition: a drop invalidates the node

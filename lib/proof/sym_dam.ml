@@ -1,7 +1,5 @@
 module Graph = Ids_graph.Graph
-module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
-module Iso = Ids_graph.Iso
 module Spanning_tree = Ids_graph.Spanning_tree
 module Network = Ids_network.Network
 module Fault = Ids_network.Fault
@@ -49,11 +47,7 @@ let respond_with_rho params g challenges rho_table =
      tables replaces a modular exponentiation per row term. *)
   let tabs = Linear.row_tables f i ~n in
   let term_a v = Linear.node_hash_tables f tabs g v in
-  let term_b v =
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image rho_table.(u)) (Graph.closed_neighborhood g v);
-    Linear.row_hash_tables f tabs ~row:rho_table.(v) image
-  in
+  let term_b v = Linear.mapped_node_hash_tables f tabs g ~map:rho_table v in
   { rho = const n rho_table;
     index = const n i;
     root = const n root;
@@ -98,32 +92,20 @@ let run_body ?fault ?params ~seed g prover =
   let b_u = Network.unicast net ~corrupt:nat_corrupt ~bits:f.Field.bits r.b in
   let field_ok x = Nat.compare x params.p < 0 in
   let tables_of = Linear.row_tables_memo f ~n in
-  let decide v =
-    Network.broadcast_consistent_at net rho_bc v
-    (* Nat values are normalized, so structural and numeric equality agree —
-       but state the intent explicitly rather than ride on that invariant. *)
-    && Network.broadcast_consistent_at ~equal:Nat.equal net index_bc v
-    && Network.broadcast_consistent_at net root_bc v
-    &&
-    let rho = rho_bc.(v) and i = index_bc.(v) and root = root_bc.(v) in
-    Array.length rho = n
-    && Array.for_all (Aggregation.in_range n) rho
-    && Aggregation.in_range n root
-    && field_ok i && field_ok a_u.(v) && field_ok b_u.(v)
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let neighborhood = Graph.closed_neighborhood g v in
-    let children = Aggregation.children g ~parent:parent_u v in
-    let tabs = tables_of i in
-    let own_a = Linear.row_hash_tables f tabs ~row:v neighborhood in
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image rho.(u)) neighborhood;
-    let own_b = Linear.row_hash_tables f tabs ~row:rho.(v) image in
-    Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
-    && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
-    &&
-    if v = root then f.Field.equal a_u.(v) b_u.(v) && rho.(v) <> v && Nat.equal i challenges.(v)
-    else true
+  let decide =
+    Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_u ~dist:dist_u
+      ~quantities:2
+      ~claimed:(fun v j -> if j = 0 then a_u.(v) else b_u.(v))
+      ~own:(fun v dst ->
+        let tabs = tables_of index_bc.(v) in
+        dst.(0) <- Linear.node_hash_tables f tabs g v;
+        dst.(1) <- Linear.mapped_node_hash_tables f tabs g ~map:rho_bc.(v) v)
+      ~same:(fun u v -> rho_bc.(u) = rho_bc.(v) && Nat.equal index_bc.(u) index_bc.(v))
+      ~local:(fun v ->
+        let rho = rho_bc.(v) in
+        Array.length rho = n && Array.for_all (Aggregation.in_range n) rho && field_ok index_bc.(v))
+      ~at_root:(fun v ->
+        f.Field.equal a_u.(v) b_u.(v) && rho_bc.(v).(v) <> v && Nat.equal index_bc.(v) challenges.(v))
   in
   let accepted = Network.decide net decide in
   Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net)
@@ -140,9 +122,7 @@ let collides params g table tabs =
   let hb =
     let acc = ref f.Field.zero in
     for v = 0 to n - 1 do
-      let image = Bitset.create n in
-      Bitset.iter (fun u -> Bitset.add image table.(u)) (Graph.closed_neighborhood g v);
-      acc := f.Field.add !acc (Linear.row_hash_tables f tabs ~row:table.(v) image)
+      acc := f.Field.add !acc (Linear.mapped_node_hash_tables f tabs g ~map:table v)
     done;
     !acc
   in

@@ -1,7 +1,6 @@
 module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
-module Iso = Ids_graph.Iso
 module Spanning_tree = Ids_graph.Spanning_tree
 module Network = Ids_network.Network
 module Fault = Ids_network.Fault
@@ -60,12 +59,7 @@ let respond_consistently params g (c : commitment) challenges =
      exponentiation per row term in both sums. *)
   let tabs = Linear.row_tables f i ~n in
   let term_a v = Linear.node_hash_tables f tabs g v in
-  let rho_of v = c.rho.(v) in
-  let term_b v =
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image (rho_of u)) (Graph.closed_neighborhood g v);
-    Linear.row_hash_tables f tabs ~row:(rho_of v) image
-  in
+  let term_b v = Linear.mapped_node_hash_tables f tabs g ~map:c.rho v in
   { index = const n i;
     a = Aggregation.honest_sums f tree ~term:term_a;
     b = Aggregation.honest_sums f tree ~term:term_b
@@ -108,29 +102,21 @@ let run_body ?fault ?params ~seed g prover =
   (* Verification. *)
   let field_ok x = Aggregation.in_range params.p x in
   let tables_of = Linear.row_tables_memo f ~n in
-  let decide v =
-    Network.broadcast_consistent_at net root_bc v
-    && Network.broadcast_consistent_at net index_bc v
-    &&
-    let root = root_bc.(v) and i = index_bc.(v) in
-    Aggregation.in_range n root && field_ok i && field_ok a_u.(v) && field_ok b_u.(v)
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    (* Every rho value this node relies on must name a vertex. *)
-    let neighborhood = Graph.closed_neighborhood g v in
-    Bitset.fold (fun u acc -> acc && Aggregation.in_range n rho_u.(u)) neighborhood true
-    &&
-    let children = Aggregation.children g ~parent:parent_u v in
-    let tabs = tables_of i in
-    let own_a = Linear.row_hash_tables f tabs ~row:v neighborhood in
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image rho_u.(u)) neighborhood;
-    let own_b = Linear.row_hash_tables f tabs ~row:rho_u.(v) image in
-    Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
-    && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
-    &&
-    if v = root then f.Field.equal a_u.(v) b_u.(v) && rho_u.(v) <> v && i = challenges.(v)
-    else true
+  let decide =
+    Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_u ~dist:dist_u
+      ~quantities:2
+      ~claimed:(fun v j -> if j = 0 then a_u.(v) else b_u.(v))
+      ~own:(fun v dst ->
+        let tabs = tables_of index_bc.(v) in
+        dst.(0) <- Linear.node_hash_tables f tabs g v;
+        dst.(1) <- Linear.mapped_node_hash_tables f tabs g ~map:rho_u v)
+      ~same:(fun u v -> index_bc.(u) = index_bc.(v))
+      ~local:(fun v ->
+        (* Every rho value this node relies on must name a vertex. *)
+        field_ok index_bc.(v)
+        && Bitset.fold (fun u acc -> acc && Aggregation.in_range n rho_u.(u))
+             (Graph.closed_neighborhood g v) true)
+      ~at_root:(fun v -> f.Field.equal a_u.(v) b_u.(v) && rho_u.(v) <> v && index_bc.(v) = challenges.(v))
   in
   let accepted = Network.decide net decide in
   Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net)

@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "ids"
-    (Test_bignum.suite @ Test_graph.suite @ Test_network.suite @ Test_hash.suite
+    (Test_bignum.suite @ Test_graph.suite @ Test_network.suite @ Test_hash.suite @ Test_aggregation.suite
     @ Test_engine.suite @ Test_protocols.suite @ Test_faults.suite @ Test_lowerbound.suite
     @ Test_extensions.suite
     @ Test_obs.suite

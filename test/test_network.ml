@@ -55,17 +55,20 @@ let test_challenges_independent_across_nodes () =
   let distinct = List.sort_uniq Stdlib.compare (Array.to_list c) in
   Alcotest.(check int) "6 nodes, 6 distinct 30-bit draws" 6 (List.length distinct)
 
+(* The broadcast check of one value through the core's primitive. *)
+let agrees ?(equal = ( = )) net values v = Network.neighbors_agree net (fun u w -> equal values.(u) values.(w)) v
+
 let test_broadcast_consistency () =
   let g = Graph.path 4 in
   let net = Network.create ~seed:1 g in
   let uniform = Network.broadcast_uniform net ~bits:8 42 in
   for v = 0 to 3 do
-    Alcotest.(check bool) "uniform consistent" true (Network.broadcast_consistent_at net uniform v)
+    Alcotest.(check bool) "uniform consistent" true (agrees net uniform v)
   done;
   let split = Network.broadcast net ~bits:8 [| 42; 42; 7; 7 |] in
-  Alcotest.(check bool) "node 0 sees consistent prefix" true (Network.broadcast_consistent_at net split 0);
-  Alcotest.(check bool) "node 1 catches mismatch" false (Network.broadcast_consistent_at net split 1);
-  Alcotest.(check bool) "node 2 catches mismatch" false (Network.broadcast_consistent_at net split 2)
+  Alcotest.(check bool) "node 0 sees consistent prefix" true (agrees net split 0);
+  Alcotest.(check bool) "node 1 catches mismatch" false (agrees net split 1);
+  Alcotest.(check bool) "node 2 catches mismatch" false (agrees net split 2)
 
 let test_nonconstant_broadcast_always_caught_when_connected () =
   (* On a connected graph, any non-constant assignment must fail at some
@@ -77,7 +80,7 @@ let test_nonconstant_broadcast_always_caught_when_connected () =
     let values = Array.init 10 (fun _ -> Ids_bignum.Rng.int rng 3) in
     let constant = Array.for_all (fun x -> x = values.(0)) values in
     let all_pass =
-      List.for_all (fun v -> Network.broadcast_consistent_at net values v) (List.init 10 Fun.id)
+      List.for_all (fun v -> agrees net values v) (List.init 10 Fun.id)
     in
     Alcotest.(check bool) "caught iff non-constant" constant all_pass
   done
@@ -90,18 +93,38 @@ let test_unicast_charges () =
     Alcotest.(check int) "per-node charge" 9 (Cost.from_prover (Network.cost net) v)
   done
 
-let test_broadcast_consistent_at_custom_equal () =
-  (* The ?equal hook: values that are structurally distinct but semantically
-     equal must not read as an equivocation once the payload's own equality
-     is supplied. Lists standing in for an un-normalized numeric type. *)
+let test_neighbors_agree_custom_equal () =
+  (* Values that are structurally distinct but semantically equal must not
+     read as an equivocation once [same] uses the payload's own equality.
+     Lists standing in for an un-normalized numeric type. *)
   let g = Graph.path 3 in
   let net = Network.create ~seed:1 g in
   let values = [| [ 1 ]; [ 1; 0 ]; [ 1; 0; 0 ] |] in
   let semantically_equal a b = List.fold_left ( + ) 0 a = List.fold_left ( + ) 0 b in
   Alcotest.(check bool) "structural equality sees a split" false
-    (Network.broadcast_consistent_at net values 1);
+    (agrees net values 1);
   Alcotest.(check bool) "semantic equality does not" true
-    (Network.broadcast_consistent_at ~equal:semantically_equal net values 1)
+    (agrees ~equal:semantically_equal net values 1)
+
+let test_neighbors_agree_skips_crashed () =
+  (* A crashed neighbour is silent: its copy is never compared, so a split
+     that only a crashed node holds is invisible, while a live neighbour
+     holding the same split is caught. *)
+  let g = Graph.path 5 in
+  let fault = Ids_network.Fault.crash_only 0.4 in
+  let seed =
+    Option.get
+      (List.find_opt
+         (fun seed ->
+           let net = Network.create ~fault ~seed g in
+           Network.crashed net 2 && not (Network.crashed net 1 || Network.crashed net 3))
+         (List.init 200 Fun.id))
+  in
+  let net = Network.create ~fault ~seed g in
+  let values = [| 42; 42; 7; 42; 42 |] in
+  Alcotest.(check bool) "crashed middle node ignored" true (agrees net values 1 && agrees net values 3);
+  let live = Network.create ~seed g in
+  Alcotest.(check bool) "live middle node caught" false (agrees live values 1)
 
 let test_equivocation_not_caught_across_components () =
   (* Pins the paper's connectivity assumption: broadcast consistency is only
@@ -114,10 +137,10 @@ let test_equivocation_not_caught_across_components () =
   let split = Network.broadcast net ~bits:8 [| 42; 42; 42; 7; 7; 7 |] in
   for v = 0 to 5 do
     Alcotest.(check bool) (Printf.sprintf "node %d sees no mismatch" v) true
-      (Network.broadcast_consistent_at net split v)
+      (agrees net split v)
   done;
   Alcotest.(check bool) "decide accepts the split" true
-    (Network.decide net (fun v -> Network.broadcast_consistent_at net split v))
+    (Network.decide net (fun v -> agrees net split v))
 
 let test_unicast_length_mismatch () =
   let net = Network.create ~seed:1 (Graph.path 3) in
@@ -202,8 +225,8 @@ let suite =
         Alcotest.test_case "non-constant broadcast caught" `Quick
           test_nonconstant_broadcast_always_caught_when_connected;
         Alcotest.test_case "unicast charges" `Quick test_unicast_charges;
-        Alcotest.test_case "broadcast_consistent_at ?equal hook" `Quick
-          test_broadcast_consistent_at_custom_equal;
+        Alcotest.test_case "neighbors_agree custom equal" `Quick test_neighbors_agree_custom_equal;
+        Alcotest.test_case "neighbors_agree skips crashed" `Quick test_neighbors_agree_skips_crashed;
         Alcotest.test_case "equivocation invisible across components" `Quick
           test_equivocation_not_caught_across_components;
         Alcotest.test_case "unicast length mismatch" `Quick test_unicast_length_mismatch;

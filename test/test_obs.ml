@@ -156,6 +156,26 @@ let test_disabled_records_nothing () =
       let s = Obs.snapshot () in
       Alcotest.(check bool) "no counter cells" true (counter "test.disabled" s = None))
 
+let test_wide_node_cells () =
+  (* Node ids past 2^21 keep their round: three cells of round 3 read back
+     as one round, not as rounds 3, 4 and 5. *)
+  with_tracing (fun () ->
+      let c = Obs.Counter.make "test.wide_nodes" in
+      List.iter (fun node -> Obs.Counter.add_cell c ~round:3 ~node 1) [ 5; (1 lsl 21) - 1; 1 lsl 22; 1 lsl 30 ];
+      (match counter "test.wide_nodes" (Obs.snapshot ()) with
+      | Some c ->
+        Alcotest.(check (list (pair int int)))
+          "one round, summed" [ (3, 4) ]
+          (List.map (fun (r : Obs.round_row) -> (r.Obs.round, r.Obs.sum)) c.Obs.rounds)
+      | None -> Alcotest.fail "counter missing");
+      List.iter
+        (fun (round, node) ->
+          Alcotest.check_raises
+            (Printf.sprintf "label (%d, %d) rejected" round node)
+            (Invalid_argument "Obs.Counter.add_cell: round or node label out of range")
+            (fun () -> Obs.Counter.add_cell c ~round ~node 1))
+        [ (1 lsl 20, 0); (-2, 0); (0, (1 lsl 31) - 1); (0, -2) ])
+
 let test_ops_count_and_reset_metrics () =
   with_tracing (fun () ->
       let c = Obs.Counter.make "test.ops" in
@@ -307,6 +327,7 @@ let suite =
         Alcotest.test_case "histogram bucketing" `Quick test_histo_buckets;
         Alcotest.test_case "disabled tracing records nothing" `Quick test_disabled_records_nothing;
         Alcotest.test_case "ops count and reset_metrics" `Quick test_ops_count_and_reset_metrics;
+        Alcotest.test_case "cells keep wide node ids" `Quick test_wide_node_cells;
         Alcotest.test_case "Chrome trace export parses" `Quick test_trace_export_parses;
         Alcotest.test_case "runlog reads schema v2 and v3" `Quick test_runlog_reads_v2_and_v3;
         Alcotest.test_case "runlog rejects unknown schema versions" `Quick
