@@ -54,7 +54,9 @@ bench:
 	dune exec bench/main.exe -- tables
 
 # Modular-arithmetic kernel microbenchmark: naive Modarith vs the
-# Montgomery/Barrett contexts. Regenerates BENCH_modarith.json.
+# Montgomery/Barrett contexts, and schoolbook vs Toom-3 products; fails if
+# a row's naive/ctx speedup is under its floor. Regenerates
+# BENCH_modarith.json.
 bench-modarith:
 	dune exec bench/modarith/main.exe
 

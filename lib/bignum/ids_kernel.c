@@ -6,8 +6,9 @@
  * are immediates, so no write barrier is needed and the stubs can be
  * [@@noalloc].  Callers allocate the destination array (never shared with
  * an operand) and guarantee the size contracts stated per function; the
- * OCaml dispatch layer in nat.ml/montgomery.ml enforces them, so the
- * checks here are assertions of the contract, not a public API.
+ * OCaml dispatch layer in nat.ml/montgomery.ml/modarith.ml enforces them.
+ * The stubs check nothing: a contract violation is undefined behaviour, not
+ * an error, so they are not a public API.
  *
  * Carry headroom at radix 2^62: a limb product is < 2^124, so an
  * operand-scanning inner loop `t = r[i+j] + a_i*b_j + carry` stays below
@@ -259,7 +260,7 @@ CAMLprim value ids_mont_redc_stub(value vm, value vn0, value vv, value vdst)
 }
 
 /* a * b mod p for 0 <= a, b < p < 2^62: the scalar kernel behind
- * Field.int62_field. */
+ * Field.int62_field and one-limb Modarith contexts. */
 CAMLprim value ids_mulmod62_stub(value va, value vb, value vp)
 {
   u128 t = (u128)(u64)Long_val(va) * (u64)Long_val(vb);

@@ -2,9 +2,10 @@
    backend switch.  All externals are [@@noalloc]: they touch only immediate
    int-array elements, never allocate, and never call back into OCaml.
 
-   `IDS_BIGNUM_KERNEL=ocaml` pins the pure-OCaml hi:lo-split paths in
-   nat.ml/montgomery.ml instead — slower, but portable and the reference the
-   cross-radix qcheck oracles triangulate against. *)
+   `IDS_BIGNUM_KERNEL=ocaml` pins the pure-OCaml paths instead — the hi:lo
+   splits in nat.ml/montgomery.ml and [mulmod62_ocaml] below. They are slower
+   but portable, and running the suite on them is the independent check of
+   the C kernels: every external here is reached only behind [use_c]. *)
 
 external nat_mul : int array -> int array -> int array -> unit
   = "ids_nat_mul_stub"
@@ -25,7 +26,7 @@ external mont_redc : int array -> int -> int array -> int array -> unit
   = "ids_mont_redc_stub"
 [@@noalloc]
 
-external mulmod62 : int -> int -> int -> int = "ids_mulmod62_stub" [@@noalloc]
+external mulmod62_c : int -> int -> int -> int = "ids_mulmod62_stub" [@@noalloc]
 
 (* The C side sizes its stack buffers for la + lb <= 1024 limbs; Nat's
    dispatch splits larger operands before reaching the base kernel, so this
@@ -36,3 +37,27 @@ let use_c =
   match Sys.getenv_opt "IDS_BIGNUM_KERNEL" with
   | Some "ocaml" -> false
   | Some "c" | None | Some _ -> true
+
+(* [v mod p] for 0 <= v < 2^32 p, given only v's low 63 bits (native
+   wrapping arithmetic) and a float approximation [fv] whose relative error
+   is a few ulps.  The quotient is below 2^32, so its float estimate is
+   within 2^-18 of v/p and its floor after subtracting 1/2 is floor(v/p) or
+   one less. The remainder v - q*p is then in [0, 2p), a 63-bit window the
+   wrapped difference represents exactly (negative when >= 2^62): one
+   conditional subtraction lands it in [0, p). *)
+let mod_est v fv p =
+  let q = int_of_float (Float.floor ((fv /. float_of_int p) -. 0.5)) in
+  let r = v - (q * p) in
+  if r < 0 || r >= p then r - p else r
+
+(* a * b mod p without a 124-bit product: Horner over b's two 31-bit
+   halves, each step a product below 2^94 reduced by [mod_est]. *)
+let mulmod62_ocaml a b p =
+  let bh = b lsr 31 and bl = b land 0x7fff_ffff in
+  let t = mod_est (a * bh) (float_of_int a *. float_of_int bh) p in
+  mod_est
+    ((t lsl 31) + (a * bl))
+    (Float.ldexp (float_of_int t) 31 +. (float_of_int a *. float_of_int bl))
+    p
+
+let mulmod62 a b p = if use_c then mulmod62_c a b p else mulmod62_ocaml a b p

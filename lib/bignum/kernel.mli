@@ -1,7 +1,13 @@
-(** Raw C kernels over 62-bit-limb int arrays (internal to [lib/bignum] and
-    its benches; no bounds checks beyond the stated contracts).  See
-    ids_kernel.c for the carry-headroom argument.  All destinations must be
-    caller-allocated, exactly sized, and distinct from every operand. *)
+(** Raw wide-limb kernels over 62-bit-limb int arrays (used by {!Nat},
+    {!Montgomery} and {!Modarith}; [mulmod62] also backs
+    [Ids_hash.Field.int62_field]). No bounds checks beyond the stated
+    contracts. See ids_kernel.c for the carry-headroom argument. All
+    destinations must be caller-allocated, exactly sized, and distinct from
+    every operand.
+
+    The array kernels are the C stubs themselves: callers branch on
+    {!use_c} and run their own pure-OCaml fallback otherwise. [mulmod62]
+    carries its fallback here. *)
 
 val nat_mul : int array -> int array -> int array -> unit
 (** [nat_mul a b dst] writes the [la + lb]-limb product into [dst].
@@ -24,7 +30,9 @@ val mont_redc : int array -> int -> int array -> int array -> unit
     [2k] limbs (Montgomery entry/exit). *)
 
 val mulmod62 : int -> int -> int -> int
-(** [mulmod62 a b p] = [a * b mod p] for [0 <= a, b < p < 2^62]. *)
+(** [mulmod62 a b p] = [a * b mod p] for [0 <= a, b < p < 2^62]: the C
+    kernel's 128-bit product, or under [IDS_BIGNUM_KERNEL=ocaml] a native
+    float-estimated reduction over [b]'s 31-bit halves. *)
 
 val mul_cap : int
 (** Operand-size ceiling ([la + lb]) for [nat_mul]/[nat_sqr]; fixed by the

@@ -4,7 +4,7 @@
    fallback below, which splits each limb product into hi:lo native halves
    and accumulates columns in a three-word (62+62+carry) window — the
    radix-2^62 translation of the old Comba pass, kept as the portable
-   reference the cross-radix tests triangulate against.
+   second implementation the C kernels are tested against.
 
    At w = 62 a limb product needs 124 bits, so unlike the 26-bit kernels no
    native accumulator can defer carries across a column; the C side uses

@@ -25,7 +25,3 @@ let decide plan (acc : Accum.t) =
     +. (float_of_int (acc.Accum.trials - acc.Accum.accepts) *. plan.lr_reject)
   in
   if llr >= plan.log_a then Some Above else if llr <= plan.log_b then Some Below else None
-
-let pp_decision fmt = function
-  | Above -> Format.pp_print_string fmt "above"
-  | Below -> Format.pp_print_string fmt "below"

@@ -27,5 +27,3 @@ val decide : plan -> Accum.t -> decision option
     boundary, [None] while the test must continue. Depends only on the
     accumulator's [trials] and [accepts], so it is deterministic in the
     trial prefix regardless of how the trials were scheduled. *)
-
-val pp_decision : Format.formatter -> decision -> unit

@@ -1,5 +1,4 @@
 let z95 = 1.96
-let z99 = 2.576
 
 let interval ?(z = z95) ~accepts ~trials () =
   if accepts < 0 || trials < 0 || accepts > trials then

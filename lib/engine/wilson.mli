@@ -7,9 +7,6 @@
 val z95 : float
 (** Normal quantile for a two-sided 95% interval (1.96). *)
 
-val z99 : float
-(** Normal quantile for a two-sided 99% interval (2.576). *)
-
 val interval : ?z:float -> accepts:int -> trials:int -> unit -> float * float
 (** [interval ~accepts ~trials ()] is the Wilson score interval [(lo, hi)]
     for the acceptance probability, at confidence [z] (default {!z95}).

@@ -55,8 +55,8 @@ let int_field p =
 let int62_field p =
   if p < 2 then invalid_arg "Field.int62_field: modulus too small";
   (* Any native int below 2^62 qualifies ([max_int] = 2^62 - 1, so every
-     non-negative int does): products run through the C
-     widening kernel, and sums are rearranged so no intermediate leaves the
+     non-negative int does): products run through Kernel.mulmod62 (the C
+     widening kernel, or its native fallback), and sums are rearranged so no intermediate leaves the
      63-bit native range ((a - p) + b is in (-2^62, 2^62)). *)
   let mul a b = Ids_bignum.Kernel.mulmod62 a b p in
   (* Canonical residue without leaving the native range: for p > 2^61 the

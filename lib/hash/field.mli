@@ -29,7 +29,7 @@ val int_field : int -> int t
 val int62_field : int -> int t
 (** [int62_field p] for any native prime [p >= 2] (every non-negative int is
     below 2^62): same carrier as {!int_field}, but products run through the
-    widening C kernel ({!Ids_bignum.Kernel.mulmod62}) so the modulus is not
+    widening kernel {!Ids_bignum.Kernel.mulmod62} so the modulus is not
     capped at 2^31. Backs the §4 scale path once the true
     [\[4 m^1.5, 8 m^1.5\]] prime outgrows the native-product range. *)
 

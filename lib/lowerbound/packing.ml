@@ -17,8 +17,6 @@ let log2_family_size n =
   let fn = float_of_int n in
   Float.max 0. ((fn *. (fn -. 1.) /. 2.) -. (fn *. (log fn /. log 2.)) -. fn)
 
-let domain_log2 ~length = 2. ** float_of_int length
-
 let min_protocol_length n =
   let target = log2_family_size n /. (log 5. /. log 2.) in
   (* Smallest L with 2^(2^L) >= target, i.e. 2^L >= log2 target. *)

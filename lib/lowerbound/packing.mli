@@ -27,10 +27,6 @@ val log2_family_size : int -> float
     are asymmetric for large [n], and dividing by [n!] merges isomorphism
     classes). Returns 0 when the estimate is vacuous (tiny [n]). *)
 
-val domain_log2 : length:int -> float
-(** [log2 d] for a protocol of length [L]: [d = 2^(2^L)], so this is
-    [2^L]. *)
-
 val min_protocol_length : int -> int
 (** [min_protocol_length n]: the smallest [L] such that [5^(2^(2^L))] is at
     least the family size — the Theorem 1.4 lower bound

@@ -17,8 +17,6 @@ let charge_from_prover t v bits =
 let charge_all_from_prover t bits =
   Array.iteri (fun v _ -> charge_from_prover t v bits) t.from_prover
 
-let charge_all_to_prover t bits = Array.iteri (fun v _ -> charge_to_prover t v bits) t.to_prover
-
 let to_prover t v = t.to_prover.(v)
 let from_prover t v = t.from_prover.(v)
 

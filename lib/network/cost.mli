@@ -24,8 +24,6 @@ val charge_from_prover : t -> int -> int -> unit
 val charge_all_from_prover : t -> int -> unit
 (** Charge the same number of received bits to every node (broadcast). *)
 
-val charge_all_to_prover : t -> int -> unit
-
 val to_prover : t -> int -> int
 val from_prover : t -> int -> int
 

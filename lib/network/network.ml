@@ -40,7 +40,6 @@ let graph t = t.graph
 let n t = Graph.n t.graph
 let cost t = t.cost
 let rng t = t.rng
-let current_round t = t.round
 
 (* Every channel operation (challenge, unicast, broadcast) is one round;
    the counter exists whether or not tracing is on, so round numbering in
@@ -50,7 +49,6 @@ let next_round t =
   t.round <- t.round + 1;
   t.round
 
-let fault_spec t = match t.fault with Some f -> Fault.spec f | None -> Fault.none
 let crashed t v = match t.fault with Some f -> Fault.crashed f v | None -> false
 let missed t v = t.missed.(v)
 

@@ -45,14 +45,6 @@ val n : t -> int
 val cost : t -> Cost.t
 val rng : t -> Ids_bignum.Rng.t
 
-val current_round : t -> int
-(** Number of channel operations (challenge / unicast / broadcast rounds)
-    executed so far; the round index {!Ids_obs.Obs} metrics and spans are
-    labeled with. Starts at 0, first operation is round 1. *)
-
-val fault_spec : t -> Fault.spec
-(** The active fault spec ({!Fault.none} when no faults are injected). *)
-
 val crashed : t -> int -> bool
 (** Did this execution's fault layer crash node [v]? *)
 

@@ -395,14 +395,6 @@ let reset_metrics () =
       Hashtbl.reset sh.hcells)
     (all_shards ())
 
-let reset_spans () =
-  List.iter
-    (fun sh ->
-      sh.sp <- [||];
-      sh.nsp <- 0;
-      sh.dropped <- 0)
-    (all_shards ())
-
 let reset () =
   (* Keep only the calling domain's shard registered: joined domains are
      gone and fresh ones re-register through the DLS initializer. *)

@@ -175,12 +175,6 @@ val reset_metrics : unit -> unit
     harness snapshots metrics per estimate while the trace accumulates for
     the whole process). Call with no worker domains running. *)
 
-val reset_spans : unit -> unit
-(** Drop recorded spans (and the dropped-span count), keeping metric cells.
-    Long-running workers call this between requests so the span buffer
-    never hits its cap; do it {e before} taking the next {!checkpoint} so
-    the dropped count stays monotone within each window. *)
-
 val reset : unit -> unit
 (** Clear everything and drop shards of joined domains. Call from the main
     domain with no workers running. *)

@@ -407,34 +407,34 @@ let test_rng_shuffle_permutes () =
   Array.sort Stdlib.compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
 
-(* --- cross-radix oracles (wide-limb migration) ----------------------------
+(* --- one-limb modular product ---------------------------------------------
 
-   Radix26 is the 26-bit engine frozen at the moment Nat moved to 62-bit
-   limbs. Random operands must produce identical values through both
-   radixes: any carry-chain bug in the wide kernels shows up as a
-   disagreement with an implementation that never had 62-bit carries. *)
+   Kernel.mulmod62 backs Field.int62_field and every one-limb Modarith
+   context. Its C path takes a 128-bit product; under IDS_BIGNUM_KERNEL=ocaml
+   it reduces float-estimated quotients in native wrapping arithmetic, whose
+   failure modes sit at the extremes: moduli up to the largest prime below
+   2^62, and operands near p or near 0, whose products leave a remainder
+   near 0 or near p. All are checked against the multi-limb product and
+   remainder. *)
 
-let prop_cross_radix_mul_sqr =
-  QCheck.Test.make ~name:"wide-limb mul/sqr match the frozen 26-bit kernels" ~count:80
-    (QCheck.pair arb_huge_string arb_huge_string) (fun (sa, sb) ->
-      let a = Nat.of_string sa and b = Nat.of_string sb in
-      let a26 = Radix26.of_nat a and b26 = Radix26.of_nat b in
-      Nat.equal a (Radix26.to_nat a26)
-      && Nat.equal (Nat.mul a b) (Radix26.to_nat (Radix26.mul a26 b26))
-      && Nat.equal (Nat.sqr a) (Radix26.to_nat (Radix26.mul a26 a26)))
+let arb_mulmod62_case =
+  QCheck.make
+    ~print:(fun (a, b, p) -> Printf.sprintf "a=%d b=%d p=%d" a b p)
+    QCheck.Gen.(
+      let* bits = int_range 1 62 in
+      let* p = int_range 2 (if bits = 62 then max_int - 56 else 1 lsl bits) in
+      let near_p = map (fun d -> max 0 (p - 1 - d)) (int_bound 1000) in
+      let small = map (fun d -> min (p - 1) d) (int_bound 1000) in
+      let operand = oneof [ near_p; small; int_bound (p - 1) ] in
+      let* a = operand in
+      let* b = operand in
+      return (a, b, p))
 
-let prop_cross_radix_mont_pow =
-  QCheck.Test.make ~name:"wide-limb Montgomery pow matches the 26-bit kernel" ~count:40
-    arb_ctx_case (fun (sa, se, sm) ->
-      let a = Nat.of_string sa and e = Nat.of_string se in
-      let m = Nat.of_string sm in
-      let m = if Nat.is_zero (Nat.rem m Nat.two) then Nat.add_int m 1 else m in
-      let m = if Nat.compare m (Nat.of_int 3) < 0 then Nat.of_int 3 else m in
-      let t = Montgomery.make m in
-      let t26 = Radix26.mont (Radix26.of_nat m) in
-      let a_red = Nat.rem a m in
-      Nat.equal (Montgomery.pow t a e)
-        (Radix26.to_nat (Radix26.mont_pow t26 (Radix26.of_nat a_red) (Radix26.of_nat e))))
+let prop_mulmod62_matches_nat =
+  QCheck.Test.make ~name:"mulmod62 matches Nat mul/rem up to 2^62 - 57" ~count:2000
+    arb_mulmod62_case (fun (a, b, p) ->
+      Kernel.mulmod62 a b p
+      = Nat.to_int (Nat.rem (Nat.mul (Nat.of_int a) (Nat.of_int b)) (Nat.of_int p)))
 
 (* --- Toom-3 tier boundaries ------------------------------------------------
 
@@ -543,11 +543,10 @@ let suite =
         Alcotest.test_case "random prime in Protocol-1 ranges" `Quick test_random_prime_int
       ] );
     ( "radix",
-      [ qtest prop_cross_radix_mul_sqr;
-        qtest prop_cross_radix_mont_pow;
-        Alcotest.test_case "Toom-3 tier boundaries" `Quick test_toom_boundary;
+      [ Alcotest.test_case "Toom-3 tier boundaries" `Quick test_toom_boundary;
         Alcotest.test_case "Apihash wide cap is the largest prime below 2^62" `Quick
-          test_wide_cap_prime
+          test_wide_cap_prime;
+        qtest prop_mulmod62_matches_nat
       ] );
     ( "rng",
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

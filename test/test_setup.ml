@@ -285,17 +285,26 @@ let arb_sized_pair =
     ~print:(fun (la, lb, sa, sb) -> Printf.sprintf "limbs=(%d,%d) seeds=(%d,%d)" la lb sa sb)
     gen
 
+(* Both product properties also take decimal operands of 1-330 digits (1-18
+   limbs), built by Nat.of_string rather than limb by limb, so values with
+   the decimal parser's limb patterns reach the kernels too. *)
+let arb_decimal = Test_bignum.arb_huge_string
+
 let prop_mul_matches_schoolbook =
-  QCheck.Test.make ~name:"Karatsuba mul matches schoolbook" ~count:300 arb_sized_pair
-    (fun (la, lb, sa, sb) ->
+  QCheck.Test.make ~name:"Karatsuba mul matches schoolbook" ~count:300
+    (QCheck.pair arb_sized_pair (QCheck.pair arb_decimal arb_decimal))
+    (fun ((la, lb, sa, sb), (da, db)) ->
       let a = nat_of_seed ~limbs:la sa and b = nat_of_seed ~limbs:lb sb in
-      Nat.equal (Nat.mul a b) (Nat.mul_schoolbook a b))
+      let c = Nat.of_string da and d = Nat.of_string db in
+      Nat.equal (Nat.mul a b) (Nat.mul_schoolbook a b)
+      && Nat.equal (Nat.mul c d) (Nat.mul_schoolbook c d))
 
 let prop_sqr_matches_mul =
-  QCheck.Test.make ~name:"sqr matches schoolbook self-product" ~count:300 arb_sized_pair
-    (fun (la, _, sa, _) ->
-      let a = nat_of_seed ~limbs:la sa in
-      Nat.equal (Nat.sqr a) (Nat.mul_schoolbook a a))
+  QCheck.Test.make ~name:"sqr matches schoolbook self-product" ~count:300
+    (QCheck.pair arb_sized_pair arb_decimal)
+    (fun ((la, _, sa, _), da) ->
+      let a = nat_of_seed ~limbs:la sa and c = Nat.of_string da in
+      Nat.equal (Nat.sqr a) (Nat.mul_schoolbook a a) && Nat.equal (Nat.sqr c) (Nat.mul_schoolbook c c))
 
 let prop_mul_int_matches_mul =
   QCheck.Test.make ~name:"mul_int matches mul of_int" ~count:300
