@@ -26,7 +26,10 @@ test:
 # above), and the E13 fault sweep at a quarter budget (every protocol's
 # verifier under every fault class). The suite
 # runs twice: once on the C bignum kernels, once on the pure-OCaml
-# fallback, so the fallback's bit-identity is tested, not assumed.
+# fallback, so the fallback's bit-identity is tested, not assumed. The
+# scale smoke runs twice too, on the default domain count and at
+# IDS_DOMAINS=1, so Apihash's split and one-range paths both pass its
+# acceptance and dense = sparse checks.
 check:
 	dune build && dune runtest && \
 	IDS_BIGNUM_KERNEL=ocaml dune test --force && \
@@ -40,6 +43,7 @@ check:
 	dune exec bench/obs/main.exe -- --smoke && \
 	dune exec bench/serve/main.exe -- --smoke && \
 	dune exec bench/scale/main.exe -- --smoke -o /dev/null && \
+	IDS_DOMAINS=1 dune exec bench/scale/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/telemetry/main.exe -- --smoke && \
 	dune exec bin/ids_inspect.exe -- --bench-summary . && \
 	python3 perfbench/smoke_test.py

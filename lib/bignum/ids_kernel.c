@@ -5,10 +5,11 @@
  * Long_val is the limb, an element written with Val_long stores it; limbs
  * are immediates, so no write barrier is needed and the stubs can be
  * [@@noalloc].  Callers allocate the destination array (never shared with
- * an operand) and guarantee the size contracts stated per function; the
- * OCaml dispatch layer in nat.ml/montgomery.ml/modarith.ml enforces them.
- * The stubs check nothing: a contract violation is undefined behaviour, not
- * an error, so they are not a public API.
+ * an operand).  The stubs check nothing themselves: kernel.ml's wrappers,
+ * the only way OCaml reaches them, check every size stated per function
+ * (IDS_MUL_CAP, IDS_MONT_CAP, operand and destination lengths) and raise
+ * Invalid_argument before the call, so no contract violation reaches the
+ * fixed stack buffers below.
  *
  * Carry headroom at radix 2^62: a limb product is < 2^124, so an
  * operand-scanning inner loop `t = r[i+j] + a_i*b_j + carry` stays below

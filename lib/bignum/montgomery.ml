@@ -243,7 +243,7 @@ let make modulus =
   let k = Array.length limbs in
   if k = 0 || limbs.(0) land 1 = 0 then invalid_arg "Montgomery.make: modulus must be odd";
   if Nat.compare modulus Nat.two <= 0 then invalid_arg "Montgomery.make: modulus must be >= 3";
-  if k > 512 then invalid_arg "Montgomery.make: modulus too large for the fixed kernel buffers";
+  if k > Kernel.mont_cap then invalid_arg "Montgomery.make: modulus too large for the fixed kernel buffers";
   let r2 = pad k (Nat.to_limbs (Nat.rem (Nat.shift_left Nat.one (2 * base_bits * k)) modulus)) in
   let t = { modulus; m = limbs; k; n0 = neg_inv_limb limbs.(0); r2; one_m = [||] } in
   (* 1 in Montgomery form is REDC(R^2) = R mod m. *)

@@ -56,8 +56,11 @@ let add t i =
     let pos = sparse_find s i in
     if pos < 0 then begin
       let at = -pos - 1 in
+      (* Four slots on the first insert: a row of degree up to 4 (the
+         scale expanders') is allocated once instead of grown 2 -> 4,
+         leaving no garbage array and one remembered-set write fewer. *)
       if s.size = Array.length s.elts then begin
-        let grown = Array.make (max 2 (2 * s.size)) 0 in
+        let grown = Array.make (max 4 (2 * s.size)) 0 in
         Array.blit s.elts 0 grown 0 s.size;
         s.elts <- grown
       end;

@@ -6,20 +6,27 @@ let bfs g root =
   let parent = Array.make n (-1) and dist = Array.make n (-1) in
   parent.(root) <- root;
   dist.(root) <- 0;
-  let queue = Queue.create () in
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Bitset.iter
-      (fun u ->
-        if dist.(u) < 0 then begin
-          dist.(u) <- dist.(v) + 1;
-          parent.(u) <- v;
-          Queue.add u queue
-        end)
-      (Graph.neighbors g v)
+  (* FIFO over an int array: every vertex is enqueued at most once, so n
+     slots suffice and [queue.(head .. tail - 1)] is the frontier. *)
+  let queue = Array.make n 0 and head = ref 0 and tail = ref 1 in
+  queue.(0) <- root;
+  (* The callback is built once and reads the vertex being expanded from
+     a cell, so the loop allocates nothing per vertex. *)
+  let v = ref root in
+  let visit u =
+    if dist.(u) < 0 then begin
+      dist.(u) <- dist.(!v) + 1;
+      parent.(u) <- !v;
+      queue.(!tail) <- u;
+      incr tail
+    end
+  in
+  while !head < !tail do
+    v := queue.(!head);
+    incr head;
+    Bitset.iter visit (Graph.neighbors g !v)
   done;
-  if Array.exists (fun d -> d < 0) dist then invalid_arg "Spanning_tree.bfs: graph not connected";
+  if !tail < n then invalid_arg "Spanning_tree.bfs: graph not connected";
   { root; parent; dist }
 
 (* One bucketing pass: children.(v) lists v's tree children ascending. The

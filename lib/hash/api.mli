@@ -65,19 +65,45 @@ val row_term : 'a Field.t -> 'a spec -> n:int -> row:int -> Ids_graph.Bitset.t -
 type 'a tables
 (** Per-copy power tables for one spec's inner points. *)
 
-val tables : 'a Field.t -> 'a spec -> n:int -> 'a tables
-(** Build the tables for an [n x n] matrix. Only [spec.points] is read. *)
+val tables : ?domains:int -> 'a Field.t -> 'a spec -> n:int -> 'a tables
+(** Build the tables for an [n x n] matrix. Only [spec.points] is read.
+    Each copy's two tables are independent power chains, [2k] in all; with
+    [domains > 1] each chain is cut at the {!Ids_engine.Scheduler.ranges}
+    bounds and the segments are built as tasks on the pool (default [1]:
+    built in the caller). The tables are the same for every [domains]. *)
 
-val tables_memo : 'a Field.t -> n:int -> 'a spec -> 'a tables
-(** [tables_memo f ~n] is a caching [fun spec -> tables f spec ~n], keyed
-    by [spec.points]: one set of tables per distinct point vector. Like
-    {!Linear.row_tables_memo}, use one memo per execution. *)
+type 'a memo
+(** One table set per distinct point vector, for one field and one [n]:
+    the honest prover and every verifier node of one execution evaluate
+    under the same points, so they can read the same tables. Only {!tables}
+    fills it, so whoever holds a memo can read tables but not forge them. *)
+
+val memo : unit -> 'a memo
+
+val memo_tables : ?domains:int -> 'a memo -> 'a Field.t -> 'a spec -> n:int -> 'a tables
+(** [memo_tables memo f spec ~n] is [tables ?domains f spec ~n], built on
+    the first request for [spec.points] and read from [memo] after. Not
+    domain-safe: call it from one domain at a time. *)
+
+val tables_for :
+  ?domains:int -> 'a memo -> 'a Field.t -> n:int -> valid:('a spec -> bool) -> 'a spec array -> int -> 'a tables option
+(** [tables_for memo f ~n ~valid specs] resolves, in one serial pass over
+    [specs], the tables of every distinct point vector among the specs
+    that satisfy [valid] ({!memo_tables}), and returns the lookup [v ->]
+    [Some] (tables of [specs.(v)]) if [specs.(v)] satisfies [valid], else
+    [None]. [valid] runs once per run of physically equal specs, and the
+    lookup answers the first valid spec without running it again. The
+    lookup only reads, so several domains may call it at once, as long as
+    nothing adds to [memo] meanwhile. *)
 
 val node_term_into : 'a Field.t -> 'a tables -> Ids_graph.Graph.t -> int -> 'a array -> int -> unit
 (** [node_term_into f t g v dst off] writes node [v]'s k-vector
     [row_term f spec ~n ~row:v (Graph.closed_neighborhood g v)] into
     [dst.(off) .. dst.(off + k - 1)], where [t = tables f spec ~n]. It
-    reads [g]'s shared adjacency row and builds no set.
+    reads [g]'s shared adjacency row once for all k copies and builds no
+    set. [node_term_into f] applied alone is a writer that allocates
+    nothing per node: build one per domain and call it for each node (it
+    keeps the current node's arguments in cells of its own).
     @raise Invalid_argument if [v] is not a vertex of [g] or [t] was
     built for another [n]. *)
 

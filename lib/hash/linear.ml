@@ -22,11 +22,15 @@ let permuted_graph_hash f a g rho =
 
 let collision_bound ~n ~p = float_of_int ((n * n) + n) /. float_of_int p
 
+let powers_into ?(lo = 0) ?hi f a t =
+  let hi = match hi with Some hi -> hi | None -> Array.length t in
+  for i = lo + 1 to hi - 1 do
+    t.(i) <- f.Field.mul t.(i - 1) a
+  done
+
 let powers f a m =
   let t = Array.make (m + 1) f.Field.one in
-  for i = 1 to m do
-    t.(i) <- f.Field.mul t.(i - 1) a
-  done;
+  powers_into f a t;
   t
 
 type 'a tables = 'a array * 'a array

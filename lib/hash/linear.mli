@@ -59,6 +59,11 @@ val collision_bound : n:int -> p:int -> float
     against; {!Api.node_term_into} evaluates the eps-API hash's row terms
     from the same tables. *)
 
+val powers_into : ?lo:int -> ?hi:int -> 'a Field.t -> 'a -> 'a array -> unit
+(** [powers_into ~lo ~hi f a t] fills [t.(i) = t.(lo) * a^(i - lo)] for
+    [lo < i < hi] (default: the whole array), i.e. the powers of [a] when
+    [t.(lo)] is [a^lo]. *)
+
 val powers : 'a Field.t -> 'a -> int -> 'a array
 (** [powers f a m] is [\[| a^0; a^1; ...; a^m |\]]. *)
 

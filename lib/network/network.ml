@@ -2,6 +2,7 @@ module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Rng = Ids_bignum.Rng
 module Obs = Ids_obs.Obs
+module Scheduler = Ids_engine.Scheduler
 
 (* Per-round, per-node bit counters mirror the Cost ledger charge for
    charge: their totals sum exactly to Cost.total over the traced window. *)
@@ -162,19 +163,40 @@ let broadcast t ?corrupt ?on_drop ~bits responses = broadcast_round t ?corrupt ?
 let broadcast_uniform t ?corrupt ?on_drop ~bits value =
   broadcast_round t ?corrupt ?on_drop ~bits ~fresh:true (Array.make (n t) value)
 
-(* Crashed neighbors are silent, so there is no copy to compare against. *)
-let neighbors_agree t same v =
-  Bitset.fold (fun u ok -> ok && (crashed t u || same u v)) (Graph.neighbors t.graph v) true
+(* Crashed neighbors are silent, so there is no copy to compare against.
+   The neighbour callback is built once per [neighbors_agree t same] and
+   reads the node from a cell, so a check allocates nothing; after the
+   first disagreement it calls [same] no more. *)
+let neighbors_agree t same =
+  let node = ref 0 and ok = ref true in
+  let visit u = if !ok && not (crashed t u || same u !node) then ok := false in
+  fun v ->
+    let row = Graph.neighbors t.graph v in
+    node := v;
+    ok := true;
+    Bitset.iter visit row;
+    !ok
 
-let decide t out =
-  let accepted = ref true in
-  for v = 0 to n t - 1 do
-    if crashed t v then begin
-      match t.fault with
-      | Some f when Fault.crash_mode f = Fault.Crash_vacuous -> ()
-      | _ -> accepted := false
-    end
-    else if t.missed.(v) then accepted := false
-    else if not (out v) then accepted := false
-  done;
-  !accepted
+(* Each range runs its own [make ()] instance: a node check may carry
+   scratch that belongs to one domain. Every node of every range is
+   checked, and the verdict is the conjunction, so a split cannot change
+   it. *)
+let decide_ranges t ~domains make =
+  let verdicts =
+    Scheduler.map_ranges ~domains ~n:(n t) (fun ~lo ~hi ->
+        let out = make () in
+        let accepted = ref true in
+        for v = lo to hi - 1 do
+          if crashed t v then begin
+            match t.fault with
+            | Some f when Fault.crash_mode f = Fault.Crash_vacuous -> ()
+            | _ -> accepted := false
+          end
+          else if t.missed.(v) then accepted := false
+          else if not (out v) then accepted := false
+        done;
+        !accepted)
+  in
+  Array.for_all Fun.id verdicts
+
+let decide t out = decide_ranges t ~domains:1 (fun () -> out)

@@ -94,11 +94,23 @@ val neighbors_agree : t -> (int -> int -> bool) -> int -> bool
     compares all of the round's broadcast values in one pass. Give it each
     payload's own equality ([Nat.equal], ...): polymorphic equality on a
     type with structurally distinct but equal values would make an honest
-    broadcast look like an equivocation. *)
+    broadcast look like an equivocation. [neighbors_agree t same] applied
+    alone is a check that allocates nothing per node; it keeps the node in
+    a cell of its own, so use one per domain. *)
 
 val decide : t -> (int -> bool) -> bool
 (** [decide t out] runs the local decision [out v] at every node and accepts
     iff all nodes accept (the paper's global acceptance rule). Nodes that
     missed a message reject. Crashed nodes never run [out]: they count as
     rejecting under {!Fault.Crash_reject} and are skipped under
-    {!Fault.Crash_vacuous}. *)
+    {!Fault.Crash_vacuous}. It is [decide_ranges ~domains:1]. *)
+
+val decide_ranges : t -> domains:int -> (unit -> int -> bool) -> bool
+(** {!decide} with the nodes split into [Ids_engine.Scheduler.ranges
+    ~domains ~n] and the ranges checked on up to [domains] domains. Each
+    range calls [make ()] once, on the domain that checks it, and runs the
+    resulting [out] over its nodes, so per-instance scratch is never
+    shared. The verdict is the conjunction of the ranges' verdicts, the
+    same for every [domains], provided [out v] depends only on [v]: [make]
+    and [out] must be safe to run on several domains at once (they may
+    read shared state, not write it). *)

@@ -32,8 +32,9 @@ type span_record = {
 (* Per-domain shard. Span records go to a growable array capped at
    [max_spans]; metric cells live in int-keyed hash tables (keys pack the
    (id, round, node) triple so the hot path allocates nothing). Only the
-   owning domain writes a shard; merges happen after the owning domain is
-   joined (or from the owner itself), so no lock is needed on the path. *)
+   owning domain writes a shard; merges happen once the scheduler batch it
+   wrote in is quiescent (or from the owner itself), so no lock is needed
+   on the path. *)
 type shard = {
   mutable sp : span_record array;
   mutable nsp : int;
@@ -396,18 +397,18 @@ let reset_metrics () =
     (all_shards ())
 
 let reset () =
-  (* Keep only the calling domain's shard registered: joined domains are
-     gone and fresh ones re-register through the DLS initializer. *)
-  let own = shard () in
-  own.sp <- [||];
-  own.nsp <- 0;
-  own.dropped <- 0;
-  own.ops <- 0;
-  Hashtbl.reset own.cells;
-  Hashtbl.reset own.hcells;
-  Mutex.lock shards_mu;
-  shards := [ own ];
-  Mutex.unlock shards_mu
+  (* Clear every registered shard in place. Each domain keeps its shard in
+     Domain.DLS for life, so unregistering a parked pool worker's shard
+     would lose every span it records later. *)
+  List.iter
+    (fun sh ->
+      sh.sp <- [||];
+      sh.nsp <- 0;
+      sh.dropped <- 0;
+      sh.ops <- 0;
+      Hashtbl.reset sh.cells;
+      Hashtbl.reset sh.hcells)
+    (all_shards ())
 
 let snapshot_json s =
   let buf = Buffer.create 256 in

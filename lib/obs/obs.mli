@@ -11,8 +11,9 @@
     shard reached through [Domain.DLS] — the hot path takes no lock (a
     mutex is touched once per domain lifetime, to register the fresh shard
     in the global list). Shards are merged by {!snapshot} / {!spans}, which
-    must be called when no worker domain is running — in this codebase,
-    after [Scheduler.map_range] has joined its domains. Tracing never draws
+    must be called when no scheduler batch is running — in this codebase,
+    after [Scheduler.map_range] has returned. Pool workers parked between
+    batches may stay alive; their shards stay registered. Tracing never draws
     randomness and never changes control flow, so traced runs produce
     bit-identical estimates.
 
@@ -27,7 +28,7 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Override the environment gate (used by tests and the bench harness).
-    Call from the main domain with no workers running. *)
+    Call with no scheduler batch running. *)
 
 val set_metric_filter : string list option -> unit
 (** Restrict which counters and histograms stay live while enabled: [None]
@@ -36,8 +37,8 @@ val set_metric_filter : string list option -> unit
     prefixes.  Service-telemetry workers run [Some ["net."]] so the
     wire-ledger counters tick while the inner-loop instrumentation
     (mont.redc fires once per modular reduction) stays free.  Spans are
-    never filtered — every span site is low-frequency.  Call from the main
-    domain with no workers running; already-recorded cells are kept. *)
+    never filtered — every span site is low-frequency.  Call with no
+    scheduler batch running; already-recorded cells are kept. *)
 
 val now_ns : unit -> int
 (** Monotonic clock in nanoseconds (CLOCK_MONOTONIC; origin unspecified).
@@ -131,14 +132,14 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Merge all shards' metrics. Call with no worker domains running. *)
+(** Merge all shards' metrics. Call with no scheduler batch running. *)
 
 type checkpoint
 (** A deep copy of the merged metric cells at one instant, the base of a
     delta window. *)
 
 val checkpoint : unit -> checkpoint
-(** Capture the current cells. Call with no worker domains running. *)
+(** Capture the current cells. Call with no scheduler batch running. *)
 
 val since : checkpoint -> snapshot
 (** The delta window from [checkpoint] to now, computed cell by cell —
@@ -162,7 +163,7 @@ val counter_total : snapshot -> string -> int
 
 val spans : unit -> span_record list
 (** All recorded spans in canonical order (name, round, node, start time).
-    Call with no worker domains running. *)
+    Call with no scheduler batch running. *)
 
 val ops_count : unit -> int
 (** Total instrumentation calls (spans recorded, counter adds, histogram
@@ -173,11 +174,13 @@ val ops_count : unit -> int
 val reset_metrics : unit -> unit
 (** Clear counters and histograms in every shard, keeping spans (the bench
     harness snapshots metrics per estimate while the trace accumulates for
-    the whole process). Call with no worker domains running. *)
+    the whole process). Call with no scheduler batch running. *)
 
 val reset : unit -> unit
-(** Clear everything and drop shards of joined domains. Call from the main
-    domain with no workers running. *)
+(** Clear every shard: spans, counters, histograms, drop and op counts.
+    Shards stay registered, so a parked [Scheduler] pool worker's later
+    spans and cells are still merged by {!spans} and {!snapshot}. Call with
+    no scheduler batch running. *)
 
 val snapshot_json : snapshot -> string
 (** Compact one-line JSON rendering, embedded in schema-version-3 run-log

@@ -48,8 +48,13 @@ let verifier f ~in_field net ~root ~parent ~dist ~quantities ~claimed ~own ~same
   let n = Graph.n g in
   let sums = Array.make quantities f.Field.zero in
   let same u v = root.(u) = root.(v) && same u v in
+  let agree = Network.neighbors_agree net same in
   let rec claims_in_field v j = j >= quantities || (in_field (claimed v j) && claims_in_field v (j + 1)) in
-  let add_child v u =
+  (* The node whose children are being added: the callback is built once
+     per instance, so a check allocates nothing of its own. *)
+  let node = ref 0 in
+  let add_child u =
+    let v = !node in
     if parent.(u) = v && u <> v then
       for j = 0 to quantities - 1 do
         sums.(j) <- f.Field.add sums.(j) (claimed u j)
@@ -59,14 +64,15 @@ let verifier f ~in_field net ~root ~parent ~dist ~quantities ~claimed ~own ~same
     j >= quantities || (f.Field.equal (claimed v j) sums.(j) && equations_hold v (j + 1))
   in
   fun v ->
-    Network.neighbors_agree net same v
+    agree v
     && local v
     && in_range n root.(v)
     && tree_check g ~root:root.(v) ~parent ~dist v
     && claims_in_field v 0
     && begin
       own v sums;
-      Bitset.iter (add_child v) (Graph.neighbors g v);
+      node := v;
+      Bitset.iter add_child (Graph.neighbors g v);
       equations_hold v 0
     end
     && (v <> root.(v) || at_root v)

@@ -6,8 +6,10 @@ module Bits = Ids_network.Bits
 module Field = Ids_hash.Field
 module Api = Ids_hash.Api
 module Rng = Ids_bignum.Rng
+module Engine = Ids_engine.Engine
+module Scheduler = Ids_engine.Scheduler
 
-type params = { q : int; field : int Field.t; copies : int }
+type params = { q : int; field : int Field.t; copies : int; domains : int; tables : int Api.memo }
 
 (* A modulus that makes the eps-API bound meaningful: eps = q (m/q)^k < 1
    needs q > m^(k/(k-1)) for m = n² + n matrix cells, so we draw a seeded
@@ -41,7 +43,7 @@ let isqrt m =
   done;
   !s
 
-let params_for ?(k = Api.default_copies) ~seed g =
+let params_for ?domains ?(k = Api.default_copies) ~seed g =
   if k < 1 then invalid_arg "Apihash.params_for: need k >= 1";
   let n = Graph.n g in
   let m = (n * n) + n in
@@ -63,7 +65,8 @@ let params_for ?(k = Api.default_copies) ~seed g =
     else wide_cap_q
   in
   let field = if q < 1 lsl 31 then Field.int_field q else Field.int62_field q in
-  { q; field; copies = k }
+  let domains = match domains with Some d -> Int.max 1 d | None -> Engine.default_domains () in
+  { q; field; copies = k; domains; tables = Api.memo () }
 
 let epsilon params ~n =
   Api.epsilon params.field ~n ~k:params.copies ~q:(float_of_int params.q)
@@ -82,15 +85,20 @@ type advice = {
 
 let honest_advice params (spec : int Api.spec) ~root g =
   let n = Graph.n g in
-  let f = params.field and k = params.copies in
+  let f = params.field and k = params.copies and domains = params.domains in
   let tree = Spanning_tree.bfs g root in
   (* Each node's k-vector is computed once, straight into its flat slot,
-     then the subtree sums accumulate in place. *)
-  let tables = Api.tables f spec ~n in
+     over node ranges on the pool (the ranges write disjoint slots and
+     share the tables read-only), then the subtree sums accumulate in
+     place. *)
+  let tables = Api.memo_tables ~domains params.tables f spec ~n in
   let agg = Array.make (n * k) 0 in
-  for v = 0 to n - 1 do
-    Api.node_term_into f tables g v agg (v * k)
-  done;
+  ignore
+    (Scheduler.map_ranges ~domains ~n (fun ~lo ~hi ->
+         let term = Api.node_term_into f in
+         for v = lo to hi - 1 do
+           term tables g v agg (v * k)
+         done));
   Aggregation.accumulate f tree ~k agg;
   { root;
     parent = tree.Spanning_tree.parent;
@@ -125,15 +133,15 @@ let response_bits_per_node f ~k n =
      unicast: Θ(k log n) per node — the §4 budget. *)
   Api.spec_bits f ~k + f.Field.bits + Bits.id n + (2 * Bits.id n) + (k * f.Field.bits)
 
-(* One execution over the array rounds: each round delivers one slot per
-   node (a machine word, or a k-row for the aggregates), and verification
-   runs inside Network.decide — each node's row term is recomputed from
-   its shared O(degree) graph row on demand. *)
-let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
+(* One execution over the array rounds: each round delivers one machine
+   word per node, and verification runs inside Network.decide_ranges —
+   each node's row term is recomputed from its shared O(degree) graph row
+   on demand. *)
+let run_body ?domains ?fault ?(prover = honest) ?k ~seed ~root g =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Apihash.run: root out of range";
-  let params = params_for ?k ~seed g in
-  let f = params.field and k = params.copies in
+  let params = params_for ?domains ?k ~seed g in
+  let f = params.field and k = params.copies and domains = params.domains in
   let net = Network.create ?fault ~seed g in
   let spec_bits = Api.spec_bits f ~k in
   (* Arthur: every node draws a spec; the root's draw is the shared one the
@@ -162,33 +170,44 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   let claim_bc = Network.broadcast_uniform net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim in
   let root_bc = Network.broadcast_uniform net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root in
   (* Merlin unicasts: tree labels, then each node's k-row of subtree
-     aggregates. *)
+     aggregates. The row round delivers row v as the index v into the
+     prover's flat array, not as a copy; a row a fault corrupts is copied
+     out, corrupted, and delivered as a negative index into [forged]. *)
   let parent_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.parent in
   let dist_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.dist in
-  let agg_bc =
-    Network.unicast net ~corrupt:(Fault.corrupt_entry field_corrupt) ~bits:(k * f.Field.bits)
-      (Array.init n (fun v -> Array.sub a.agg (v * k) k))
-  in
-  (* A row of the wrong arity (a cheating prover's) reads as -1, which the
+  (* A row past the end of a cheating prover's array reads as -1, which the
      range check rejects deterministically. *)
-  let agg v i = if Array.length agg_bc.(v) = k then agg_bc.(v).(i) else -1 in
-  (* Local verification, one node at a time inside decide. Power tables
-     are built per delivered point vector (one set on an honest run). *)
+  let sent s i = if (s * k) + i < Array.length a.agg then a.agg.((s * k) + i) else -1 in
+  let forged_rev = ref [] and nforged = ref 0 in
+  let forge rng s =
+    forged_rev := Fault.corrupt_entry field_corrupt rng (Array.init k (sent s)) :: !forged_rev;
+    incr nforged;
+    - !nforged
+  in
+  let row_bc = Network.unicast net ~corrupt:forge ~bits:(k * f.Field.bits) (Array.init n Fun.id) in
+  let forged = Array.of_list (List.rev !forged_rev) in
+  let agg v i = let s = row_bc.(v) in if s >= 0 then sent s i else forged.(-s - 1).(i) in
+  (* Local verification inside decide, over node ranges on the pool. The
+     spec range check runs and the power tables of every delivered point
+     vector that passes it are resolved first, serially, and read by every
+     range: on an honest run that is one check and the one set the prover
+     built. Each range has its own verifier, whose scratch is its own. *)
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
-  let tables_of = Api.tables_memo f ~n in
-  let check =
+  let tables_of = Api.tables_for ~domains params.tables f ~n ~valid:(Api.spec_ok ~k ~in_field:field_ok) spec_bc in
+  let check () =
+    let own = Api.node_term_into f in
     Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_bc ~dist:dist_bc
       ~quantities:k ~claimed:agg
-      ~own:(fun v dst -> Api.node_term_into f (tables_of spec_bc.(v)) g v dst 0)
+      ~own:(fun v dst -> own (Option.get (tables_of v)) g v dst 0)
       ~same:(fun u v -> claim_bc.(u) = claim_bc.(v) && spec_eq spec_bc.(u) spec_bc.(v))
-      ~local:(fun v -> field_ok claim_bc.(v) && Api.spec_ok ~k ~in_field:field_ok spec_bc.(v))
+      ~local:(fun v -> field_ok claim_bc.(v) && Option.is_some (tables_of v))
       ~at_root:(fun v ->
         f.Field.equal (Api.finalize f spec_bc.(v) (Array.init k (agg v))) claim_bc.(v)
         && v = root && spec_eq spec_bc.(v) root_spec)
   in
-  let accepted = Network.decide net check in
+  let accepted = Network.decide_ranges net ~domains check in
   Outcome.of_cost ~accepted ~prover:"apihash" (Network.cost net)
 
-let run ?fault ?prover ?k ~seed ~root g =
-  Ids_obs.Obs.span "apihash.run" (fun () -> run_body ?fault ?prover ?k ~seed ~root g)
+let run ?domains ?fault ?prover ?k ~seed ~root g =
+  Ids_obs.Obs.span "apihash.run" (fun () -> run_body ?domains ?fault ?prover ?k ~seed ~root g)

@@ -13,17 +13,50 @@
     aggregate breaks an equation at some node.
 
     Every round runs over {!Ids_network.Network}'s array rounds: the
-    Arthur round keeps only the root's generator, the broadcasts and tree
-    labels deliver one machine word per node, and the aggregate round
-    delivers one k-row per node. So the protocol completes at n = 10⁶ with
-    O(n) words of delivered state plus the n k-rows, and O(max degree)
-    transient state per verified node. This is the scale exemplar
-    benchmarked by [bench/scale]. *)
+    Arthur round keeps only the root's generator, and every other round
+    delivers one machine word per node: the aggregate round delivers node
+    [v]'s k-row as the index [v] into the prover's flat array, and only a
+    row a fault corrupts is copied out. So the protocol completes at
+    n = 10⁶ with O(n) words of delivered state beside the prover's n·k
+    aggregates, and O(max degree) transient state per verified node. This
+    is the scale exemplar benchmarked by [bench/scale].
 
-type params = { q : int; field : int Ids_hash.Field.t; copies : int }
+    {2 What runs split}
 
-val params_for : ?k:int -> seed:int -> Ids_graph.Graph.t -> params
-(** Modulus and copy count for a graph: a seeded random prime in
+    The per-node work runs over node ranges
+    ({!Ids_engine.Scheduler.map_ranges}) on [params.domains] domains: the
+    honest prover's row terms, written into disjoint slots of the flat
+    aggregate array, and the verifier's node checks, one
+    {!Aggregation.verifier} per range inside
+    {!Ids_network.Network.decide_ranges}. Neither phase allocates per
+    node, so no minor collection stops the domains mid-phase. The power
+    tables are built once per point vector, as pool tasks over segments
+    of the [2k] power chains, kept in [params.tables], and
+    read by every range and by both sides: the verifier resolves the
+    tables of every delivered point vector in one serial pass before the
+    split, and on an honest run finds the set the prover built. BFS,
+    {!Aggregation.accumulate}, the Arthur draw and the five Merlin rounds
+    run in the caller, and no randomness is drawn in a split section, so
+    the {!Outcome.t} is the same for every domain count. [domains] reaches the run the
+    [Engine.run ?domains] way: {!run}'s [?domains] goes to {!params_for},
+    which defaults to {!Ids_engine.Engine.default_domains} ([IDS_DOMAINS]).
+    Inside an engine trial the split runs inline (see
+    {!Ids_engine.Scheduler}). *)
+
+type params = {
+  q : int;
+  field : int Ids_hash.Field.t;
+  copies : int;
+  domains : int;  (** Domains the per-node phases split over. *)
+  tables : int Ids_hash.Api.memo;
+      (** This execution's power tables: the honest prover builds the set
+          for the root's spec, and the verifier reads it back for every
+          node that received the same points. *)
+}
+
+val params_for : ?domains:int -> ?k:int -> seed:int -> Ids_graph.Graph.t -> params
+(** Modulus, copy count, domain count and an empty table memo for one
+    execution on a graph. The modulus is a seeded random prime in
     [\[4 m^(3/2), 8 m^(3/2)\]] for [m = n² + n] — the least growth rate
     with [eps < 1] at [k = 3]. Below [2^31] the field is
     {!Ids_hash.Field.int_field}, above it {!Ids_hash.Field.int62_field}.
@@ -32,7 +65,9 @@ val params_for : ?k:int -> seed:int -> Ids_graph.Graph.t -> params
     itself leaves the native range and [q] is fixed at [2^62 - 57], the
     largest prime below [2^62]: completeness holds for every [q], and
     soundness degrades only past that point (see the DESIGN.md
-    discussion). [k] defaults to {!Ids_hash.Api.default_copies}.
+    discussion). [k] defaults to {!Ids_hash.Api.default_copies}, [domains]
+    to {!Ids_engine.Engine.default_domains} (at least 1); neither changes
+    the draw.
     @raise Invalid_argument if [k < 1]. *)
 
 val epsilon : params -> n:int -> float
@@ -54,6 +89,7 @@ val honest_advice : params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Gra
 type prover = params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
 
 val honest : prover
+(** {!honest_advice}: its row terms split over [params.domains]. *)
 
 val adversary_wrong_claim : prover
 (** Honest advice with the claimed hash shifted: rejected with
@@ -69,6 +105,7 @@ val response_bits_per_node : int Ids_hash.Field.t -> k:int -> int -> int
     [Theta(k log n)]. *)
 
 val run :
+  ?domains:int ->
   ?fault:Ids_network.Fault.spec ->
   ?prover:prover ->
   ?k:int ->
@@ -78,6 +115,7 @@ val run :
   Outcome.t
 (** One execution on a connected graph: spec challenge (root's draw only), spec /
     claim / root broadcasts, tree-label and aggregate unicasts, local
-    verification inside {!Ids_network.Network.decide}. Deterministic in
-    [seed]; the fault layer applies to every round.
+    verification inside {!Ids_network.Network.decide_ranges}.
+    Deterministic in [seed], whatever [domains] (passed to
+    {!params_for}); the fault layer applies to every round.
     @raise Invalid_argument if [root] is out of range. *)

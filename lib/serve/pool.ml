@@ -37,8 +37,8 @@ let worker_main ~chaos ?(telemetry = false) rfd wfd =
      delivered frames telescopes to the worker's full ledger no matter
      where the chain is cut by a kill.  Snapshot-and-reset (rather than a
      checkpoint chain) keeps the cell tables — and the walk that merges
-     them — bounded by one request's worth of cells, and [Obs.reset] also
-     drops the shards of engine domains joined during the request, so a
+     them — bounded by one request's worth of cells; the engine runs at
+     [~domains:1] here, so the worker's own shard is the only one and a
      long-lived worker's frame cost never grows.  The anchor is refreshed
      first so shipped span times are relative to this worker's own birth,
      not the parent's.  Unless the operator asked for the deep IDS_TRACE

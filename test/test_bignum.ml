@@ -436,6 +436,82 @@ let prop_mulmod62_matches_nat =
       Kernel.mulmod62 a b p
       = Nat.to_int (Nat.rem (Nat.mul (Nat.of_int a) (Nat.of_int b)) (Nat.of_int p)))
 
+(* --- C stub size contracts ---------------------------------------------------
+
+   ids_kernel.c sizes its stack buffers for la + lb <= mul_cap limbs and
+   Montgomery moduli of at most mont_cap limbs. Kernel's wrappers check
+   every size a stub reads or writes: at the cap the stub runs and its
+   result is checked against Nat, one limb past it the wrapper raises. The
+   wrappers are called directly, so both make-check passes (C and
+   IDS_BIGNUM_KERNEL=ocaml) run the C stubs here. *)
+
+let random_limbs rng len = Array.init len (fun i -> Rng.bits rng 62 lor if i = len - 1 then 1 lsl 61 else 0)
+let limbs_nat a = Nat.of_limbs a
+
+let raises_invalid name f =
+  Alcotest.(check bool) name true (match f () with () -> false | exception Invalid_argument _ -> true)
+
+let test_nat_kernel_caps () =
+  let rng = Rng.create 0xca9 in
+  let cap = Kernel.mul_cap in
+  let a = random_limbs rng (cap / 2) and b = random_limbs rng (cap / 2) in
+  let dst = Array.make cap 0 in
+  Kernel.nat_mul a b dst;
+  Alcotest.(check bool) "nat_mul at la + lb = cap" true
+    (Nat.equal (limbs_nat dst) (Nat.mul_schoolbook (limbs_nat a) (limbs_nat b)));
+  Kernel.nat_sqr a dst;
+  Alcotest.(check bool) "nat_sqr at 2 la = cap" true
+    (Nat.equal (limbs_nat dst) (Nat.mul_schoolbook (limbs_nat a) (limbs_nat a)));
+  let a' = random_limbs rng ((cap / 2) + 1) in
+  raises_invalid "nat_mul at la + lb = cap + 1" (fun () -> Kernel.nat_mul a' b (Array.make (cap + 1) 0));
+  raises_invalid "nat_sqr at 2 la = cap + 2" (fun () -> Kernel.nat_sqr a' (Array.make (cap + 2) 0));
+  raises_invalid "nat_mul short dst" (fun () -> Kernel.nat_mul a b (Array.make (cap - 1) 0));
+  raises_invalid "nat_sqr short dst" (fun () -> Kernel.nat_sqr a (Array.make (cap - 1) 0));
+  raises_invalid "nat_mul empty operand" (fun () -> Kernel.nat_mul [||] b dst)
+
+(* n0 = -m^-1 mod 2^62 by Newton's iteration (each step doubles the
+   correct low bits; six steps pass 62). *)
+let neg_inv_limb m0 =
+  let mask = (1 lsl 62) - 1 in
+  let inv = ref m0 in
+  for _ = 1 to 6 do
+    inv := !inv * (2 - (m0 * !inv)) land mask
+  done;
+  (- !inv) land mask
+
+let test_mont_kernel_caps () =
+  let rng = Rng.create 0x3c4 in
+  let k = Kernel.mont_cap in
+  let m = random_limbs rng k in
+  m.(0) <- m.(0) lor 1;
+  let mn = limbs_nat m in
+  let n0 = neg_inv_limb m.(0) in
+  let below_m () = Nat.to_limbs (Nat.random_below rng mn) |> fun l -> Array.append l (Array.make (k - Array.length l) 0) in
+  let x = below_m () and y = below_m () in
+  let r = Nat.shift_left Nat.one (62 * k) in
+  (* dst * R = v (mod m) is what every Montgomery kernel returns. *)
+  let times_r dst = Nat.rem (Nat.mul (limbs_nat dst) r) mn in
+  let dst = Array.make k 0 in
+  Kernel.mont_mul m n0 x y dst;
+  Alcotest.(check bool) "mont_mul at k = mont_cap" true
+    (Nat.equal (times_r dst) (Nat.rem (Nat.mul (limbs_nat x) (limbs_nat y)) mn));
+  Kernel.mont_sqr m n0 x dst;
+  Alcotest.(check bool) "mont_sqr at k = mont_cap" true
+    (Nat.equal (times_r dst) (Nat.rem (Nat.mul (limbs_nat x) (limbs_nat x)) mn));
+  let v = Array.append x y in
+  Kernel.mont_redc m n0 v dst;
+  Alcotest.(check bool) "mont_redc at k = mont_cap, 2k limbs" true
+    (Nat.equal (times_r dst) (Nat.rem (limbs_nat v) mn));
+  let m' = Array.append m [| 1 |] and x' = Array.append x [| 0 |] in
+  let dst' = Array.make (k + 1) 0 in
+  raises_invalid "mont_mul at k = mont_cap + 1" (fun () -> Kernel.mont_mul m' n0 x' x' dst');
+  raises_invalid "mont_sqr at k = mont_cap + 1" (fun () -> Kernel.mont_sqr m' n0 x' dst');
+  raises_invalid "mont_redc at k = mont_cap + 1" (fun () -> Kernel.mont_redc m' n0 x' dst');
+  raises_invalid "mont_mul short operand" (fun () -> Kernel.mont_mul m n0 x (Array.sub y 0 (k - 1)) dst);
+  raises_invalid "mont_sqr short dst" (fun () -> Kernel.mont_sqr m n0 x (Array.make (k - 1) 0));
+  raises_invalid "mont_redc 2k + 1 limbs" (fun () -> Kernel.mont_redc m n0 (Array.append v [| 0 |]) dst);
+  raises_invalid "mont_mul empty modulus" (fun () -> Kernel.mont_mul [||] n0 x y dst)
+
 (* --- Toom-3 tier boundaries ------------------------------------------------
 
    The tier switch sits at 512 limbs per operand; sizes straddling it hit
@@ -546,7 +622,9 @@ let suite =
       [ Alcotest.test_case "Toom-3 tier boundaries" `Quick test_toom_boundary;
         Alcotest.test_case "Apihash wide cap is the largest prime below 2^62" `Quick
           test_wide_cap_prime;
-        qtest prop_mulmod62_matches_nat
+        qtest prop_mulmod62_matches_nat;
+        Alcotest.test_case "nat kernels: size contract at cap and cap + 1" `Quick test_nat_kernel_caps;
+        Alcotest.test_case "mont kernels: size contract at cap and cap + 1" `Quick test_mont_kernel_caps
       ] );
     ( "rng",
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

@@ -119,7 +119,58 @@ let test_ctx_cache_deterministic_across_domains () =
 
 let test_scheduler_exception_propagates () =
   Alcotest.check_raises "raised in a worker" (Failure "boom") (fun () ->
-      ignore (Scheduler.map_range ~domains:4 ~lo:0 ~hi:64 (fun i -> if i = 37 then failwith "boom" else i)))
+      ignore (Scheduler.map_range ~domains:4 ~lo:0 ~hi:64 (fun i -> if i = 37 then failwith "boom" else i)));
+  (* The pool outlives the failed batch. *)
+  Alcotest.(check (array int)) "next call succeeds" (Array.init 64 (fun i -> i * i))
+    (Scheduler.map_range ~domains:4 ~lo:0 ~hi:64 (fun i -> i * i))
+
+(* The domain that ran each index; every index sleeps so that the helper
+   wakes before the caller has claimed them all. *)
+let domain_ids ~domains n =
+  Scheduler.map_range ~domains ~lo:0 ~hi:n (fun _ ->
+      Unix.sleepf 0.002;
+      (Domain.self () :> int))
+  |> Array.to_list |> List.sort_uniq compare
+
+(* Spawning per call would show a new helper id on every call. *)
+let test_pool_reuses_workers () =
+  let first = domain_ids ~domains:4 32 in
+  let size = Scheduler.size () in
+  Alcotest.(check bool) "helpers took part" true (List.length first >= 2 && size >= 3);
+  let seen =
+    List.fold_left (fun acc _ -> List.sort_uniq compare (domain_ids ~domains:4 32 @ acc)) first [ 2; 3; 4 ]
+  in
+  Alcotest.(check bool) "every call ran on the caller and the same workers" true (List.length seen <= size + 1);
+  Alcotest.(check int) "no domain spawned after the first call" size (Scheduler.size ())
+
+let test_nested_map_range_inline () =
+  let outer =
+    Scheduler.map_range ~domains:2 ~lo:0 ~hi:8 (fun i ->
+        let self = (Domain.self () :> int) in
+        let inner = Scheduler.map_range ~domains:4 ~lo:0 ~hi:8 (fun j -> ((Domain.self () :> int), (8 * i) + j)) in
+        (Array.for_all (fun (d, _) -> d = self) inner, Array.map snd inner))
+  in
+  Array.iteri
+    (fun i (inline, values) ->
+      Alcotest.(check bool) (Printf.sprintf "inner call %d ran on its caller" i) true inline;
+      Alcotest.(check (array int)) (Printf.sprintf "inner call %d results" i) (Array.init 8 (fun j -> (8 * i) + j)) values)
+    outer
+
+let test_ranges_partition () =
+  List.iter
+    (fun (domains, n) ->
+      let rs = Scheduler.ranges ~domains ~n in
+      let covered = Array.fold_left (fun next (lo, hi) -> if lo = next && hi > lo then hi else -1) 0 rs in
+      Alcotest.(check int) (Printf.sprintf "domains=%d n=%d: consecutive, cover [0, n)" domains n) n covered;
+      Alcotest.(check bool) (Printf.sprintf "domains=%d n=%d: count" domains n) true
+        (if domains <= 1 then Array.length rs = 1 else Array.length rs <= 64 * domains))
+    [ (1, 1); (1, 64); (2, 1); (2, 7); (2, 36); (2, 64); (4, 36); (4, 1 lsl 18) ];
+  (* The pinned Apihash graphs split, so their tests exercise the split. *)
+  List.iter
+    (fun n -> Alcotest.(check bool) (Printf.sprintf "n=%d splits at 2 domains" n) true (Array.length (Scheduler.ranges ~domains:2 ~n) >= 2))
+    [ 36; 64 ];
+  Alcotest.(check (array int)) "map_ranges in range order" [| 0; 9; 18; 27 |]
+    (Scheduler.map_ranges ~domains:2 ~n:36 (fun ~lo ~hi:_ -> lo))
 
 (* --- the accumulator monoid ----------------------------------------------------- *)
 
@@ -369,6 +420,9 @@ let suite =
         Alcotest.test_case "ctx cache deterministic across domains" `Quick
           test_ctx_cache_deterministic_across_domains;
         Alcotest.test_case "worker exception propagates" `Quick test_scheduler_exception_propagates;
+        Alcotest.test_case "pool reuses its worker domains" `Quick test_pool_reuses_workers;
+        Alcotest.test_case "nested map_range runs inline" `Quick test_nested_map_range_inline;
+        Alcotest.test_case "node ranges partition [0, n)" `Quick test_ranges_partition;
         Alcotest.test_case "scaled trials" `Quick test_scaled_trials;
         qtest prop_merge_associative;
         qtest prop_merge_agrees_with_fold

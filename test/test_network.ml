@@ -85,6 +85,22 @@ let test_nonconstant_broadcast_always_caught_when_connected () =
     Alcotest.(check bool) "caught iff non-constant" constant all_pass
   done
 
+(* One check ([neighbors_agree t same] applied once) reused over every
+   node, in several orders, answers what a fresh check answers: a
+   disagreement at one node does not carry over to the next. *)
+let test_neighbors_agree_reused () =
+  let rng = Ids_bignum.Rng.create 9 in
+  for _ = 1 to 20 do
+    let g = Graph.random_gnp rng 12 0.3 in
+    let net = Network.create ~fault:(Ids_network.Fault.crash_only 0.2) ~seed:(Ids_bignum.Rng.int rng 1000) g in
+    let values = Array.init 12 (fun _ -> Ids_bignum.Rng.int rng 2) in
+    let same u w = values.(u) = values.(w) in
+    let check = Network.neighbors_agree net same in
+    List.iter
+      (fun v -> Alcotest.(check bool) (Printf.sprintf "node %d" v) (Network.neighbors_agree net same v) (check v))
+      (List.init 12 Fun.id @ List.init 12 (fun i -> 11 - i) @ List.init 12 (fun i -> i * 5 mod 12))
+  done
+
 let test_unicast_charges () =
   let g = Graph.star 4 in
   let net = Network.create ~seed:1 g in
@@ -151,6 +167,32 @@ let test_decide_all_must_accept () =
   let net = Network.create ~seed:1 (Graph.path 5) in
   Alcotest.(check bool) "all accept" true (Network.decide net (fun _ -> true));
   Alcotest.(check bool) "one rejects" false (Network.decide net (fun v -> v <> 3))
+
+(* The split decide: one [make ()] per range, a rejection in the second
+   range rejects at every domain count, and the verdict is decide's. *)
+let test_decide_ranges () =
+  let g = Graph.cycle 64 in
+  let lo, _ = (Ids_engine.Scheduler.ranges ~domains:2 ~n:64).(1) in
+  List.iter
+    (fun domains ->
+      let net = Network.create ~seed:1 g in
+      let made = Atomic.make 0 in
+      let make reject () =
+        Atomic.incr made;
+        fun v -> v <> reject
+      in
+      Alcotest.(check bool) (Printf.sprintf "domains=%d all accept" domains) true
+        (Network.decide_ranges net ~domains (make (-1)));
+      Alcotest.(check int) (Printf.sprintf "domains=%d one check per range" domains)
+        (Array.length (Ids_engine.Scheduler.ranges ~domains ~n:64))
+        (Atomic.get made);
+      Alcotest.(check bool) (Printf.sprintf "domains=%d rejection at node %d" domains lo) false
+        (Network.decide_ranges net ~domains (make lo));
+      let faulted = Network.create ~fault:(Fault.crash_only 0.2) ~seed:3 g in
+      Alcotest.(check bool) (Printf.sprintf "domains=%d crash rule as decide" domains)
+        (Network.decide faulted (fun _ -> true))
+        (Network.decide_ranges faulted ~domains (fun () _ -> true)))
+    [ 1; 2; 4 ]
 
 let prop_cost_total_is_sum =
   QCheck.Test.make ~name:"cost total = sum of node totals" ~count:100
@@ -224,12 +266,14 @@ let suite =
         Alcotest.test_case "broadcast consistency check" `Quick test_broadcast_consistency;
         Alcotest.test_case "non-constant broadcast caught" `Quick
           test_nonconstant_broadcast_always_caught_when_connected;
+        Alcotest.test_case "neighbors_agree reused across nodes" `Quick test_neighbors_agree_reused;
         Alcotest.test_case "unicast charges" `Quick test_unicast_charges;
         Alcotest.test_case "neighbors_agree custom equal" `Quick test_neighbors_agree_custom_equal;
         Alcotest.test_case "neighbors_agree skips crashed" `Quick test_neighbors_agree_skips_crashed;
         Alcotest.test_case "equivocation invisible across components" `Quick
           test_equivocation_not_caught_across_components;
         Alcotest.test_case "unicast length mismatch" `Quick test_unicast_length_mismatch;
-        Alcotest.test_case "decide = conjunction" `Quick test_decide_all_must_accept
+        Alcotest.test_case "decide = conjunction" `Quick test_decide_all_must_accept;
+        Alcotest.test_case "decide over node ranges" `Quick test_decide_ranges
       ] )
   ]

@@ -315,6 +315,31 @@ let test_lazy_sink_creates_no_file_until_log () =
         | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length l))
         | Error err -> Alcotest.fail err)
 
+(* Pool workers park between batches and keep their Domain.DLS shards, so
+   Obs.reset must clear those shards, not unregister them: a span a worker
+   records after the reset must still be merged. *)
+let test_worker_spans_survive_reset () =
+  with_tracing (fun () ->
+      let caller = (Domain.self () :> int) in
+      let batch () =
+        ignore
+          (Ids_engine.Scheduler.map_range ~domains:2 ~lo:0 ~hi:32 (fun i ->
+               Obs.span ~round:i "test.pool_task" (fun () -> Unix.sleepf 0.002)))
+      in
+      let worker_spans () =
+        List.filter
+          (fun (r : Obs.span_record) -> r.Obs.sname = "test.pool_task" && r.Obs.sdomain <> caller)
+          (Obs.spans ())
+      in
+      batch ();
+      Alcotest.(check bool) "a worker recorded spans" true (worker_spans () <> []);
+      Obs.reset ();
+      Alcotest.(check int) "reset cleared them" 0 (List.length (worker_spans ()));
+      batch ();
+      Alcotest.(check bool) "the worker's spans after the reset are merged" true (worker_spans () <> []);
+      Alcotest.(check int) "every task span is merged" 32
+        (List.length (List.filter (fun (r : Obs.span_record) -> r.Obs.sname = "test.pool_task") (Obs.spans ()))))
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "traced estimates deterministic across domains" `Slow
@@ -335,6 +360,7 @@ let suite =
         Alcotest.test_case "runlog read_file: mixed versions, line errors" `Quick
           test_runlog_read_file_mixed;
         Alcotest.test_case "run-log sink is created lazily" `Quick
-          test_lazy_sink_creates_no_file_until_log
+          test_lazy_sink_creates_no_file_until_log;
+        Alcotest.test_case "pool worker spans survive Obs.reset" `Quick test_worker_spans_survive_reset
       ] )
   ]

@@ -235,6 +235,34 @@ let prop_tabled_term_nat =
   QCheck.Test.make ~name:"Api: tabled node term = row_term (nat field)" ~count:100 arb_seed
     (tabled_term_matches (Field.nat_field (Nat.of_string "170141183460469231731687303715884105727")))
 
+(* One writer ([Api.node_term_into f] applied once) reused over every
+   node and over two table sets, one built in the caller and one built in
+   segments on two domains, writes each node's row_term: the writer's
+   cells carry nothing from one node to the next, and the segmented chains
+   equal the whole ones. *)
+let reused_writer_matches (type a) (f : a Field.t) seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 80 and k = 1 + Rng.int rng 4 in
+  let spec = Api.random_spec f ~k rng and other = Api.random_spec f ~k rng in
+  let repr = if Rng.bool rng then Graph.Sparse else Graph.Dense in
+  let g = Graph.random_gnp ~repr rng n (Rng.float rng) in
+  let sets = [ (spec, Api.tables f spec ~n); (other, Api.tables ~domains:2 f other ~n) ] in
+  let term = Api.node_term_into f in
+  let got = Array.make k f.Field.zero in
+  List.for_all
+    (fun v ->
+      List.for_all
+        (fun (s, t) ->
+          term t g v got 0;
+          Array.for_all2 f.Field.equal (Api.row_term f s ~n ~row:v (Graph.closed_neighborhood g v)) got)
+        sets)
+    (List.init n Fun.id)
+
+let prop_reused_writer =
+  QCheck.Test.make ~name:"Api: one node-term writer over all nodes and two table sets = row_term" ~count:60
+    arb_seed
+    (reused_writer_matches (Field.int62_field 4611686018427387847))
+
 (* Every tabled form against its closed form, in one field: a random size
    and graph, a random permutation, every row, and an index that is
    sometimes 0 or 1. The memo must hand back the tables it built. *)
@@ -472,6 +500,7 @@ let suite =
           prop_tabled_term_int;
           prop_tabled_term_int62;
           prop_tabled_term_nat;
+          prop_reused_writer;
           prop_tabled_hash_int;
           prop_tabled_hash_int62;
           prop_tabled_hash_nat

@@ -188,6 +188,10 @@ let test_apihash_faults () =
   let bare = Apihash.run ~seed:5 ~root:0 g in
   checkb "zero-rate spec bit-identical" true (clean = bare)
 
+(* Every Apihash pin replays on one domain (a single node range) and split
+   over 2 and 4 (both pinned graphs give several ranges). *)
+let split_domains = [ 1; 2; 4 ]
+
 (* The full Outcome.t of every (graph, prover/fault, seed) cell, recorded
    before the hash layer moved to power tables: the tabled row terms and
    the in-place k-wide aggregation are exact field arithmetic, so not one
@@ -235,8 +239,11 @@ let test_apihash_outcome_pins () =
       List.iter
         (fun (seed, accepted, max_bits_per_node, max_response_bits, total_bits) ->
           let want = { Outcome.accepted; max_bits_per_node; max_response_bits; total_bits; prover = "apihash" } in
-          let got = Apihash.run ?fault ?prover ~seed ~root:0 g in
-          checkb (Printf.sprintf "%s %s seed=%d outcome pinned" gname cname seed) true (got = want))
+          List.iter
+            (fun domains ->
+              let got = Apihash.run ~domains ?fault ?prover ~seed ~root:0 g in
+              checkb (Printf.sprintf "%s %s seed=%d domains=%d outcome pinned" gname cname seed domains) true (got = want))
+            split_domains)
         cells)
     apihash_outcome_pins
 
@@ -252,19 +259,63 @@ let test_apihash_root_spec () =
       List.iter
         (fun (seed, root, fault) ->
           let f = (Apihash.params_for ~seed g).Apihash.field and k = Ids_hash.Api.default_copies in
-          let drawn = ref None in
-          let prover params spec ~root g =
-            drawn := Some spec;
-            Apihash.honest params spec ~root g
-          in
-          ignore (Apihash.run ?fault ~prover ~seed ~root g);
           let want =
             (Network.challenge (Network.create ?fault ~seed g) ~bits:(Ids_hash.Api.spec_bits f ~k)
                (Ids_hash.Api.random_spec f ~k)).(root)
           in
-          checkb (Printf.sprintf "n=%d seed=%d root=%d spec" (Graph.n g) seed root) true (!drawn = Some want))
+          List.iter
+            (fun domains ->
+              let drawn = ref None in
+              let prover params spec ~root g =
+                drawn := Some spec;
+                Apihash.honest params spec ~root g
+              in
+              ignore (Apihash.run ~domains ?fault ~prover ~seed ~root g);
+              checkb
+                (Printf.sprintf "n=%d seed=%d root=%d domains=%d spec" (Graph.n g) seed root domains)
+                true (!drawn = Some want))
+            split_domains)
         [ (1, 0, None); (2, 0, None); (3, 5, None); (4, 0, Some (Fault.drop_only 0.1)); (5, 17, Some (Fault.drop_only 0.1)) ])
     graphs
+
+(* A faulted run whose only rejecting node lies in the second node range:
+   a drop-fault seed whose dropped messages all went to nodes of that
+   range. The fault decisions depend on the seed, the round and the node
+   alone, so replaying Apihash's seven channel rounds on a bare Network
+   with the same seed finds the nodes that miss a message. Rejected at
+   every domain count, with one Outcome.t. *)
+let test_apihash_rejects_in_second_range () =
+  let g = Family.expander (Rng.create 4) ~n:64 ~degree:4 in
+  let n = Graph.n g in
+  let fault = Fault.drop_only 0.002 in
+  let lo, hi = (Ids_engine.Scheduler.ranges ~domains:2 ~n).(1) in
+  let missed_by seed =
+    let net = Network.create ~fault ~seed g in
+    ignore (Network.challenge net ~bits:1 (fun _ -> ()));
+    for _ = 1 to 3 do
+      ignore (Network.broadcast_uniform net ~bits:1 0)
+    done;
+    for _ = 1 to 3 do
+      ignore (Network.unicast net ~bits:1 (Array.make n 0))
+    done;
+    List.filter (Network.missed net) (List.init n Fun.id)
+  in
+  let rec find seed =
+    if seed > 2000 then Alcotest.fail "no seed drops messages to the second range alone"
+    else
+      match missed_by seed with
+      | _ :: _ as missed when List.for_all (fun v -> v >= lo && v < hi) missed -> seed
+      | _ -> find (seed + 1)
+  in
+  let seed = find 1 in
+  let reference = Apihash.run ~domains:1 ~fault ~seed ~root:0 g in
+  checkb (Printf.sprintf "seed=%d rejected on one domain" seed) false reference.Outcome.accepted;
+  checkb "the same seed without faults accepts" true (Apihash.run ~domains:2 ~seed ~root:0 g).Outcome.accepted;
+  List.iter
+    (fun domains ->
+      checkb (Printf.sprintf "seed=%d domains=%d same outcome" seed domains) true
+        (Apihash.run ~domains ~fault ~seed ~root:0 g = reference))
+    [ 2; 4 ]
 
 let test_apihash_rejects_bad_root () =
   Alcotest.check_raises "root out of range" (Invalid_argument "Apihash.run: root out of range")
@@ -342,6 +393,7 @@ let suite =
         Alcotest.test_case "apihash under faults" `Quick test_apihash_faults;
         Alcotest.test_case "apihash root validation" `Quick test_apihash_rejects_bad_root;
         Alcotest.test_case "BENCH_scale.json shape" `Quick test_bench_scale_shape;
-        Alcotest.test_case "apihash spec = root's draw" `Quick test_apihash_root_spec
+        Alcotest.test_case "apihash spec = root's draw" `Quick test_apihash_root_spec;
+        Alcotest.test_case "apihash rejects in the second node range" `Quick test_apihash_rejects_in_second_range
       ] )
   ]

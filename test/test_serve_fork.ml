@@ -3,7 +3,8 @@
    OCaml 5 forbids Unix.fork once any other domain has been spawned, and the
    shared test binary runs multi-domain engine suites first.  This binary
    never spawns a domain (Catalog.execute_request pins ~domains:1), so the
-   Pool.spawn forks below are legal.  It pins the acceptance criterion that a
+   Pool.spawn forks below are legal; its first case checks that one-domain
+   calls leave the scheduler's pool unstarted.  It pins the acceptance criterion that a
    request completed via retry after a worker crash is bit-identical to the
    in-process engine. *)
 
@@ -360,10 +361,25 @@ let test_endless_line_cut () =
           Client.close b;
           stop ()))
 
+(* Every one-domain path the serve workers and a [~domains:1] Apihash run
+   take: none may start the pool, or no fork after it could succeed. *)
+let test_one_domain_never_starts_pool () =
+  let module Scheduler = Ids_engine.Scheduler in
+  let g = Ids_graph.Family.expander (Ids_bignum.Rng.create 4) ~n:64 ~degree:4 in
+  ignore (Scheduler.map_range ~domains:1 ~lo:0 ~hi:8 Fun.id);
+  ignore (Scheduler.map_ranges ~domains:1 ~n:64 (fun ~lo ~hi -> hi - lo));
+  checkb "apihash accepts" true (Ids_proof.Apihash.run ~domains:1 ~seed:1 ~root:0 g).Ids_proof.Outcome.accepted;
+  let e = List.hd (Catalog.entries ()) in
+  (match Catalog.execute_request ~protocol:e.Catalog.protocol ~strategy:e.Catalog.strategy ~trials:4 ~fault:Fault.none with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "catalog request: %s" e);
+  check Alcotest.int "pool never started" 0 (Scheduler.size ())
+
 let () =
   Alcotest.run "ids-serve-fork"
     [ ( "serve-fork",
-        [ Alcotest.test_case "forked worker: retried result bit-identical" `Quick
+        [ Alcotest.test_case "one-domain calls never start the pool" `Quick test_one_domain_never_starts_pool;
+          Alcotest.test_case "forked worker: retried result bit-identical" `Quick
             test_forked_worker_retry_bit_identical;
           Alcotest.test_case "torn frame: counted gap, clean retry" `Quick
             test_torn_frame_lost_delta_clean_retry;
