@@ -27,9 +27,10 @@ test:
 # verifier under every fault class). The suite
 # runs twice: once on the C bignum kernels, once on the pure-OCaml
 # fallback, so the fallback's bit-identity is tested, not assumed. The
-# scale smoke runs twice too, on the default domain count and at
-# IDS_DOMAINS=1, so Apihash's split and one-range paths both pass its
-# acceptance and dense = sparse checks.
+# scale smoke runs three times, on the default domain count, at
+# IDS_DOMAINS=1 and at IDS_DOMAINS=4, so Apihash's split and one-range
+# paths, and its BFS-beside-the-tables batch with more domains than this
+# box has cores, all pass its acceptance and dense = sparse checks.
 check:
 	dune build && dune runtest && \
 	IDS_BIGNUM_KERNEL=ocaml dune test --force && \
@@ -44,6 +45,7 @@ check:
 	dune exec bench/serve/main.exe -- --smoke && \
 	dune exec bench/scale/main.exe -- --smoke -o /dev/null && \
 	IDS_DOMAINS=1 dune exec bench/scale/main.exe -- --smoke -o /dev/null && \
+	IDS_DOMAINS=4 dune exec bench/scale/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/telemetry/main.exe -- --smoke && \
 	dune exec bin/ids_inspect.exe -- --bench-summary . && \
 	python3 perfbench/smoke_test.py
@@ -97,7 +99,8 @@ serve-smoke:
 
 # E19: the million-node scale run — degree-4 sparse expander through the
 # spanning-tree PLS and the Section 4 eps-API hash, end to end,
-# with nodes/sec and peak RSS. Regenerates BENCH_scale.json. --smoke
+# with nodes/sec, peak RSS and a traced run's phase split. Regenerates
+# BENCH_scale.json, stamped with the domain count and commit. --smoke
 # (n = 10^4, also wired into @runtest-fast and `make check`) adds the
 # peak-RSS bound and the dense/sparse bit-identity assertion.
 bench-scale:

@@ -4,8 +4,11 @@
    runs the two Θ(log n)-advice protocols end to end: the spanning-tree
    proof labeling scheme (Pls.Tree) and the Section 4 tree-aggregable
    eps-API hash (Apihash), whose rounds hold O(n) words of delivered
-   state plus the n k-rows of the aggregate round. Reports nodes/sec per
-   protocol and the process's peak RSS, and emits BENCH_scale.json.
+   state beside the prover's n·k aggregates. Reports nodes/sec per
+   protocol, the process's peak RSS and, from traced runs, how an Apihash
+   run's wall time splits over its phase spans, and emits
+   BENCH_scale.json with the domain count and the commit that produced
+   it.
 
    --smoke (n = 10^4, wired into @runtest-fast) additionally asserts the
    scale path's two contracts: peak RSS stays under 64 MB (an
@@ -95,6 +98,67 @@ let run_apihash g =
       let out = Apihash.run ~seed:run_seed ~root:0 g in
       (out.Outcome.accepted, out.Outcome.max_bits_per_node))
 
+(* An Apihash run's phases, as its own Obs spans name them, in run order:
+   the prover's three (BFS beside the power tables, the row terms, the
+   accumulation) sit between Arthur and the Merlin rounds; "run" is the
+   whole run's span. *)
+let phases =
+  [ ("arthur", "apihash.arthur");
+    ("bfs + tables", "apihash.bfs_tables");
+    ("row terms", "apihash.row_terms");
+    ("accumulate", "apihash.accumulate");
+    ("merlin", "apihash.merlin");
+    ("decide", "apihash.decide");
+    ("run", "apihash.run")
+  ]
+
+(* [apihash_runs] traced runs with spans on and every counter filtered
+   out, so the rounds charge the ledger as untraced runs do and the spans
+   are the only cost: per phase, the median of its span's milliseconds. *)
+let phase_split g =
+  let module Obs = Ids_obs.Obs in
+  let traced () =
+    Gc.full_major ();
+    Obs.reset ();
+    Obs.set_metric_filter (Some []);
+    Obs.set_enabled true;
+    ignore (Apihash.run ~seed:run_seed ~root:0 g);
+    Obs.set_enabled false;
+    Obs.set_metric_filter None;
+    let spans = Obs.spans () in
+    fun name ->
+      let ns = List.fold_left (fun acc (s : Obs.span_record) -> if s.Obs.sname = name then acc + s.Obs.dur_ns else acc) 0 spans in
+      float_of_int ns *. 1e-6
+  in
+  let samples = List.init apihash_runs (fun _ -> traced ()) in
+  List.map
+    (fun (label, name) -> (label, List.nth (List.sort Float.compare (List.map (fun ms -> ms name) samples)) (apihash_runs / 2)))
+    phases
+
+let report_split ~domains split =
+  let run = List.assoc "run" split in
+  Printf.printf "  apihash phase split (traced, median of %d runs, %d domains):\n" apihash_runs domains;
+  let row label ms = Printf.printf "    %-17s %8.1f ms  %5.1f%%\n" label ms (100. *. ms /. run) in
+  List.iter (fun (label, ms) -> if label <> "run" then row label ms) split;
+  row "other" (run -. List.fold_left (fun acc (label, ms) -> if label = "run" then acc else acc +. ms) 0. split);
+  Printf.printf "    %-17s %8.1f ms\n%!" "run" run
+
+(* The commit the bench ran on, from git when it runs in a clone, with
+   "-dirty" when the tracked files differ from it; "unknown" otherwise. *)
+let commit_id () =
+  let read cmd =
+    match Unix.open_process_in cmd with
+    | ic ->
+      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+      (match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> None)
+    | exception Unix.Unix_error _ -> None
+  in
+  match read "git rev-parse HEAD 2>/dev/null" with
+  | Some c when c <> "" ->
+    let dirty = read "git status --porcelain --untracked-files=no 2>/dev/null" <> None in
+    if dirty then c ^ "-dirty" else c
+  | _ -> "unknown"
+
 let check name cond = if not cond then begin Printf.eprintf "FAIL: %s\n%!" name; exit 1 end
 
 (* Dense and sparse backends must produce the same graph and bit-identical
@@ -113,7 +177,7 @@ let backend_equality_smoke () =
   check "smoke: apihash accepts" od.Outcome.accepted
 
 let emit_json path ~n ~smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~(params : Apihash.params)
-    ~peak_rss =
+    ~peak_rss ~split =
   let buf = Buffer.create 1024 in
   let proto name r =
     Printf.sprintf
@@ -125,12 +189,17 @@ let emit_json path ~n ~smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~(params : 
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"bench\": \"scale\", \"smoke\": %b,\n" smoke);
   Buffer.add_string buf
+    (Printf.sprintf "  \"commit\": \"%s\", \"domains\": %d,\n" (commit_id ()) params.Apihash.domains);
+  Buffer.add_string buf
     (Printf.sprintf "  \"n\": %d, \"degree\": %d, \"repr\": \"sparse\", \"graph_seed\": %d, \"run_seed\": %d,\n"
        n degree graph_seed run_seed);
   Buffer.add_string buf
     (Printf.sprintf "  \"graph_build_seconds\": %.3f, \"sparse6_bytes\": %d,\n" graph_seconds sparse6_bytes);
   Buffer.add_string buf (Printf.sprintf "  %s,\n" (proto "pls_tree" pls));
   Buffer.add_string buf (Printf.sprintf "  %s,\n" (proto "apihash" api));
+  Buffer.add_string buf
+    (Printf.sprintf "  \"apihash_phase_ms\": {%s},\n"
+       (String.concat ", " (List.map (fun (label, ms) -> Printf.sprintf "\"%s\": %.1f" label ms) split)));
   Buffer.add_string buf
     (Printf.sprintf "  \"apihash_q\": %d, \"apihash_copies\": %d,\n" params.Apihash.q
        params.Apihash.copies);
@@ -182,6 +251,8 @@ let () =
   let api = run_apihash g in
   report "apihash" api;
   let params = Apihash.params_for ~seed:run_seed g in
+  let split = phase_split g in
+  report_split ~domains:params.Apihash.domains split;
   let peak_rss = float_of_int (peak_rss_bytes ()) in
   Printf.printf "  peak RSS            %8.1f MB\n%!" (peak_rss /. 1048576.);
   check "pls_tree accepts" pls.accepted;
@@ -197,4 +268,4 @@ let () =
     backend_equality_smoke ();
     Printf.printf "  backend equality    OK (dense/sparse bit-identical)\n%!"
   end;
-  emit_json !out_path ~n ~smoke:!smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~params ~peak_rss
+  emit_json !out_path ~n ~smoke:!smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~params ~peak_rss ~split

@@ -532,10 +532,11 @@ let bench_headline name j =
       (jfloat j [ "latency_ms"; "p99" ])
       (jget j [ "bit_identical" ] = Some (Json.Bool true))
   | "BENCH_scale.json" ->
-    Printf.sprintf "n=%d; pls_tree %.0f nodes/s; apihash %.0f nodes/s; peak rss %.0f MB"
+    Printf.sprintf "n=%d; pls_tree %.0f nodes/s; apihash %.0f nodes/s on %d domains; peak rss %.0f MB"
       (jint j [ "n" ])
       (jfloat j [ "pls_tree"; "nodes_per_sec" ])
       (jfloat j [ "apihash"; "nodes_per_sec" ])
+      (jint j [ "domains" ])
       (jfloat j [ "peak_rss_mb" ])
   | "BENCH_telemetry.json" ->
     Printf.sprintf

@@ -20,6 +20,12 @@ let split t =
   let s = next_int64 t in
   { state = mix s }
 
+(* The (i+1)-th [split] first advances the state to s0 + (i+1)·gamma,
+   then mixes it twice, so its child is a pure function of (s0, i). *)
+let split_at t i = { state = mix (mix (Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) gamma))) }
+
+let advance t count = t.state <- Int64.add t.state (Int64.mul (Int64.of_int count) gamma)
+
 let key parts =
   let z =
     List.fold_left

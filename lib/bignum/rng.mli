@@ -18,6 +18,26 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     (statistically) independent of the remainder of [t]'s stream. *)
 
+(** {2 Splitting by position}
+
+    Splitmix's split is addressable by index. From a state [s0], the
+    [(i+1)]-th of [i + 1] successive {!split}s returns the generator of
+    state [mix (mix (s0 + (i+1)·gamma))] and leaves [t] at
+    [s0 + (i+1)·gamma]. So the [n] generators a loop of [n] splits hands
+    out can be derived in any order, or only the ones that are read:
+    [split_at t i] for each [i < n], then [advance t n]. A node's coins
+    then depend on the seed, the round and the node alone, as in the
+    paper's model, not on the order nodes draw in. *)
+
+val split_at : t -> int -> t
+(** [split_at t i] is the generator the [(i+1)]-th of successive
+    {!split}s of [t] would return, streaming identically to it. It does
+    not advance [t]. *)
+
+val advance : t -> int -> unit
+(** [advance t count] moves [t] to the state [count] successive {!split}s
+    (or {!next_int64}s) would leave it in, in O(1). *)
+
 val key : int list -> int
 (** [key parts] derives a seed from a composite key by iterated splitmix64
     mixing: each component is folded through the avalanche function, so seeds

@@ -1,13 +1,14 @@
 type t = { root : int; parent : int array; dist : int array }
 
-let bfs g root =
+let bfs_visit g root =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Spanning_tree.bfs: root out of range";
   let parent = Array.make n (-1) and dist = Array.make n (-1) in
   parent.(root) <- root;
   dist.(root) <- 0;
   (* FIFO over an int array: every vertex is enqueued at most once, so n
-     slots suffice and [queue.(head .. tail - 1)] is the frontier. *)
+     slots suffice and [queue.(head .. tail - 1)] is the frontier. Once
+     every vertex is in, the queue is the visit order. *)
   let queue = Array.make n 0 and head = ref 0 and tail = ref 1 in
   queue.(0) <- root;
   (* The callback is built once and reads the vertex being expanded from
@@ -27,7 +28,9 @@ let bfs g root =
     Bitset.iter visit (Graph.neighbors g !v)
   done;
   if !tail < n then invalid_arg "Spanning_tree.bfs: graph not connected";
-  { root; parent; dist }
+  ({ root; parent; dist }, queue)
+
+let bfs g root = fst (bfs_visit g root)
 
 (* One bucketing pass: children.(v) lists v's tree children ascending. The
    per-vertex [children] below scans all n parents, which is fine for one

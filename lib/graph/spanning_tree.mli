@@ -16,6 +16,14 @@ val bfs : Graph.t -> int -> t
 (** [bfs g root] computes a BFS tree. @raise Invalid_argument if [g] is not
     connected or [root] is out of range. *)
 
+val bfs_visit : Graph.t -> int -> t * int array
+(** [bfs_visit g root] is [bfs g root] with the order BFS visited the
+    vertices in, which it builds anyway: the root, then each level sorted
+    by (position of the parent in the order, vertex). So [dist] does not
+    decrease along it, and read in reverse it puts every vertex after all
+    of its descendants, as {!leaves_first} does, with no sort.
+    @raise Invalid_argument as {!bfs}. *)
+
 val children : t -> int -> int list
 (** Children of a vertex in the tree, ascending. O(n) per query — use
     {!children_index} when visiting many vertices. *)

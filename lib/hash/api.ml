@@ -32,21 +32,27 @@ type 'a tables = 'a Linear.tables array
    pow_int of its chain's base at its first index (the same canonical
    field element the chain reaches) and multiplies on, so no segment waits
    for another. The caller allocates every chain and the tasks only fill
-   them, so no worker domain allocates a large block. *)
-let tables ?(domains = 1) f spec ~n =
+   them, so no worker domain allocates a large block. An [alongside] job
+   is task 0 of the same batch, so it is handed out first: one domain
+   takes it while the others fill segments. *)
+let tables ?(domains = 1) ?(alongside = ignore) f spec ~n =
   let k = Array.length spec.points in
   let base = Array.init (2 * k) (fun j -> let a = spec.points.(j / 2) in if j land 1 = 0 then a else f.Field.pow_int a n) in
   let chains = Array.init (2 * k) (fun j -> Array.make (if j land 1 = 0 then n + 1 else n) f.Field.one) in
   let segs = Scheduler.ranges ~domains ~n:(n + 1) in
   let m = Array.length segs in
   ignore
-    (Scheduler.map_range ~domains ~lo:0 ~hi:(2 * k * m) (fun task ->
-         let j = task / m and lo, hi = segs.(task mod m) in
-         let c = chains.(j) in
-         let hi = Int.min hi (Array.length c) in
-         if lo < hi then begin
-           c.(lo) <- f.Field.pow_int base.(j) lo;
-           Linear.powers_into ~lo ~hi f base.(j) c
+    (Scheduler.map_range ~domains ~lo:0 ~hi:((2 * k * m) + 1) (fun task ->
+         if task = 0 then alongside ()
+         else begin
+           let task = task - 1 in
+           let j = task / m and lo, hi = segs.(task mod m) in
+           let c = chains.(j) in
+           let hi = Int.min hi (Array.length c) in
+           if lo < hi then begin
+             c.(lo) <- f.Field.pow_int base.(j) lo;
+             Linear.powers_into ~lo ~hi f base.(j) c
+           end
          end));
   Array.init k (fun i -> (chains.(2 * i), chains.((2 * i) + 1)))
 
@@ -63,11 +69,13 @@ let find memo points =
   | Some (p, t) when p == points -> Some t
   | _ -> Hashtbl.find_opt memo.tbl points
 
-let memo_tables ?domains memo f spec ~n =
+let memo_tables ?domains ?(alongside = ignore) memo f spec ~n =
   match find memo spec.points with
-  | Some t -> t
+  | Some t ->
+    alongside ();
+    t
   | None ->
-    let t = tables ?domains f spec ~n in
+    let t = tables ?domains ~alongside f spec ~n in
     Hashtbl.add memo.tbl spec.points t;
     if memo.first = None then memo.first <- Some (spec.points, t);
     t

@@ -65,12 +65,16 @@ val row_term : 'a Field.t -> 'a spec -> n:int -> row:int -> Ids_graph.Bitset.t -
 type 'a tables
 (** Per-copy power tables for one spec's inner points. *)
 
-val tables : ?domains:int -> 'a Field.t -> 'a spec -> n:int -> 'a tables
+val tables : ?domains:int -> ?alongside:(unit -> unit) -> 'a Field.t -> 'a spec -> n:int -> 'a tables
 (** Build the tables for an [n x n] matrix. Only [spec.points] is read.
     Each copy's two tables are independent power chains, [2k] in all; with
     [domains > 1] each chain is cut at the {!Ids_engine.Scheduler.ranges}
     bounds and the segments are built as tasks on the pool (default [1]:
-    built in the caller). The tables are the same for every [domains]. *)
+    built in the caller). The tables are the same for every [domains].
+    [alongside ()] runs once, as the first task of the same batch, on
+    whichever domain takes it, so a job that shares no state with the
+    tables overlaps their construction; an exception it raises is
+    re-raised after the batch. *)
 
 type 'a memo
 (** One table set per distinct point vector, for one field and one [n]:
@@ -80,10 +84,12 @@ type 'a memo
 
 val memo : unit -> 'a memo
 
-val memo_tables : ?domains:int -> 'a memo -> 'a Field.t -> 'a spec -> n:int -> 'a tables
-(** [memo_tables memo f spec ~n] is [tables ?domains f spec ~n], built on
-    the first request for [spec.points] and read from [memo] after. Not
-    domain-safe: call it from one domain at a time. *)
+val memo_tables :
+  ?domains:int -> ?alongside:(unit -> unit) -> 'a memo -> 'a Field.t -> 'a spec -> n:int -> 'a tables
+(** [memo_tables memo f spec ~n] is [tables ?domains ?alongside f spec ~n],
+    built on the first request for [spec.points] and read from [memo]
+    after; on a hit, [alongside ()] runs in the caller. Not domain-safe:
+    call it from one domain at a time. *)
 
 val tables_for :
   ?domains:int -> 'a memo -> 'a Field.t -> n:int -> valid:('a spec -> bool) -> 'a spec array -> int -> 'a tables option

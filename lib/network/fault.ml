@@ -93,18 +93,19 @@ let salt_deliver = 0x0D51
 let salt_equiv = 0x0E91
 let salt_crash = 0x0C0A
 
-type t = { spec : spec; seed : int; crashed : bool array; mutable round : int }
+type t = { spec : spec; seed : int; crashed : bool array; any_crashed : bool; mutable round : int }
 
 let create ~seed ~n spec =
   let crashed =
     Array.init n (fun v ->
         spec.crash > 0. && Rng.float (Rng.create (Rng.key [ seed; salt_crash; v ])) < spec.crash)
   in
-  { spec; seed; crashed; round = 0 }
+  { spec; seed; crashed; any_crashed = Array.exists Fun.id crashed; round = 0 }
 
 let spec t = t.spec
 let crash_mode t = t.spec.crash_mode
 let crashed t v = t.crashed.(v)
+let any_crashed t = t.any_crashed
 
 let next_round t =
   let r = t.round in

@@ -103,6 +103,9 @@ val crash_mode : t -> crash_mode
 
 val crashed : t -> int -> bool
 
+val any_crashed : t -> bool
+(** Did any node crash? Computed once by {!create}. *)
+
 val next_round : t -> int
 (** Advance the execution's round counter and return the index of the round
     that is starting; every channel operation is one round. *)

@@ -61,24 +61,31 @@ let take_missed t =
 (* Crashed nodes are silent for the whole execution: they neither send
    challenges nor receive responses, so the ledger must not charge them
    (a crashed-silent node billed per round was inflating the E13 crash
-   degradation sweeps). *)
+   degradation sweeps). With no node crashed and the round's counter not
+   recording, every node gets the same bits, and the round is one uniform
+   charge. *)
+let charge_live t counter ~round ~uniform ~node bits =
+  let none_crashed = match t.fault with None -> true | Some f -> not (Fault.any_crashed f) in
+  if none_crashed && not (Obs.Counter.live counter) then uniform t.cost bits
+  else
+    for v = 0 to n t - 1 do
+      if not (crashed t v) then begin
+        node t.cost v bits;
+        Obs.Counter.add_cell counter ~round ~node:v bits
+      end
+    done
+
 let charge_live_to_prover t ~round bits =
-  for v = 0 to n t - 1 do
-    if not (crashed t v) then begin
-      Cost.charge_to_prover t.cost v bits;
-      Obs.Counter.add_cell c_to_prover ~round ~node:v bits
-    end
-  done
+  charge_live t c_to_prover ~round ~uniform:Cost.charge_all_to_prover ~node:Cost.charge_to_prover bits
 
 let charge_live_from_prover t ~round bits =
-  for v = 0 to n t - 1 do
-    if not (crashed t v) then begin
-      Cost.charge_from_prover t.cost v bits;
-      Obs.Counter.add_cell c_from_prover ~round ~node:v bits
-    end
-  done
+  charge_live t c_from_prover ~round ~uniform:Cost.charge_all_from_prover ~node:Cost.charge_from_prover bits
 
-let challenge t ~bits gen =
+(* Node v's generator is the v-th split of the round's starting state,
+   derived by position ({!Rng.split_at}), and the execution's generator
+   then moves past all n splits at once: the same generators, and the same
+   state after the round, as splitting once per node in node order. *)
+let arthur t ~bits draw =
   let round = next_round t in
   Obs.span ~round "net.challenge" (fun () ->
       charge_live_to_prover t ~round bits;
@@ -86,29 +93,36 @@ let challenge t ~bits gen =
         Obs.Counter.add c_draws (n t);
         Obs.Histo.observe h_msg_bits bits
       end;
-      (* Each node owns an independent generator split off the execution seed. *)
-      let a = Array.init (n t) (fun _ -> gen (Rng.split t.rng)) in
+      let start = Rng.copy t.rng in
+      Rng.advance t.rng (n t);
+      let drawn = draw (Rng.split_at start) in
       (match t.fault with
       | None -> ()
       | Some f ->
         let fround = Fault.next_round f in
         for v = 0 to n t - 1 do
           (* Delivery failure is modeled purely as decide-time rejection: the
-             drawn value stays in the returned array (and is typically handed to
-             the prover — there is no generic sentinel for 'c), but the sending
+             drawn value stays with the caller (and is typically handed to the
+             prover — there is no generic sentinel for 'c), but the sending
              node is marked missed so {!decide}, or a protocol folding
              {!take_missed} into its own verdicts, rejects it. Soundness must
              never depend on hiding a dropped challenge from the prover. A
-             crashed node sends nothing, so nothing of it is dropped. *)
+             crashed node sends nothing, so nothing of it is dropped. The
+             round's fault has no corrupt hook, so the decision does not
+             read the value. *)
           let live = not (Fault.crashed f v) in
           if live then Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
-          match Fault.deliver f ~round:fround ~node:v a.(v) with
+          match Fault.deliver f ~round:fround ~node:v () with
           | Fault.Dropped when live ->
             t.missed.(v) <- true;
             Obs.Counter.add_cell c_fault_drops ~round ~node:v 1
-          | Fault.Dropped | Fault.Delivered _ -> ()
+          | Fault.Dropped | Fault.Delivered () -> ()
         done);
-      a)
+      drawn)
+
+let challenge t ~bits gen = arthur t ~bits (fun node_rng -> Array.init (n t) (fun v -> gen (node_rng v)))
+
+let challenge_rngs t ~bits = arthur t ~bits Fun.id
 
 let check_length t a = if Array.length a <> n t then invalid_arg "Network: response length mismatch"
 

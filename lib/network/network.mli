@@ -68,7 +68,20 @@ val challenge : t -> bits:int -> (Ids_bignum.Rng.t -> 'c) -> 'c array
     prover never saw its challenge, so no transcript involving it is
     valid). Delivery failure is modeled purely as that decide-time
     rejection — the drawn value is still present in the returned array and
-    observable by prover code; soundness must not rely on hiding it. *)
+    observable by prover code; soundness must not rely on hiding it.
+
+    Node [v]'s generator is the [v]-th split of the execution's generator,
+    derived by position ({!Ids_bignum.Rng.split_at}); the draws run in node
+    order. *)
+
+val challenge_rngs : t -> bits:int -> int -> Ids_bignum.Rng.t
+(** [challenge_rngs t ~bits] is the Arthur round of {!challenge} with the
+    draws left to the caller: it charges, faults and numbers the round
+    exactly as {!challenge} does and leaves {!rng} in the same state, and
+    the returned function gives node [v] a fresh generator that streams as
+    the one {!challenge} hands [v]'s draw. A protocol that reads only some
+    nodes' challenges draws only those, and the round allocates nothing
+    per node. *)
 
 val unicast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bits:int -> 'r array -> 'r array
 (** Merlin unicast round: the prover supplies one value per node; every node

@@ -175,6 +175,8 @@ module Counter = struct
     if !enabled_flag && !(c.live) then
       let sh = shard () in
       bump sh sh.cells (pack c.id (-1) (-1)) k
+
+  let live c = !enabled_flag && !(c.live)
 end
 
 module Histo = struct

@@ -85,6 +85,11 @@ module Counter : sig
       [2^31 - 2] for nodes.
       @raise Invalid_argument for a label outside that range while tracing
       is on. *)
+
+  val live : t -> bool
+  (** True when an add to this counter records: tracing is on and the
+      metric filter keeps the counter. A caller that skips per-cell work
+      when it is false records nothing less. *)
 end
 
 (** Log-scale histograms: observation [v] lands in bucket [bits v] (the

@@ -21,18 +21,24 @@ let children g ~parent v =
    parent's slot. The labelled root, and a vertex whose parent label is
    itself or out of range, push nothing. Field addition is exact, so the
    order children arrive in cannot change a sum. *)
-let accumulate f tree ~k sums =
+let accumulate ?visit f tree ~k sums =
   let parent = tree.Spanning_tree.parent and root = tree.Spanning_tree.root in
   let n = Array.length parent in
   if Array.length sums <> n * k then invalid_arg "Aggregation.accumulate: need n * k slots";
-  Array.iter
-    (fun v ->
-      let p = parent.(v) in
-      if v <> root && p <> v && in_range n p then
-        for i = 0 to k - 1 do
-          sums.((p * k) + i) <- f.Field.add sums.((p * k) + i) sums.((v * k) + i)
-        done)
-    (Spanning_tree.leaves_first tree)
+  let push v =
+    let p = parent.(v) in
+    if v <> root && p <> v && in_range n p then
+      for i = 0 to k - 1 do
+        sums.((p * k) + i) <- f.Field.add sums.((p * k) + i) sums.((v * k) + i)
+      done
+  in
+  match visit with
+  | Some order ->
+    if Array.length order <> n then invalid_arg "Aggregation.accumulate: need one visit slot per node";
+    for i = n - 1 downto 0 do
+      push order.(i)
+    done
+  | None -> Array.iter push (Spanning_tree.leaves_first tree)
 
 let honest_sums f tree ~term =
   let sums = Array.init (Array.length tree.Spanning_tree.parent) term in

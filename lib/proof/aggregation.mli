@@ -26,12 +26,16 @@ val tree_check : Ids_graph.Graph.t -> root:int -> parent:int array -> dist:int a
 val children : Ids_graph.Graph.t -> parent:int array -> int -> int list
 (** [C(v) = { u in N(v) | t_u = v }] over the open neighborhood of [v]. *)
 
-val accumulate : 'a Ids_hash.Field.t -> Ids_graph.Spanning_tree.t -> k:int -> 'a array -> unit
+val accumulate : ?visit:int array -> 'a Ids_hash.Field.t -> Ids_graph.Spanning_tree.t -> k:int -> 'a array -> unit
 (** Prover-side, in place: [sums] holds [k] per-node terms flattened
     ([sums.((v * k) + i)] is copy [i] at [v]); on return each slot holds
-    the subtree aggregate of its copy. One leaves-first pass
-    ({!Ids_graph.Spanning_tree.leaves_first}) serves all [k] copies.
-    @raise Invalid_argument if [Array.length sums <> n * k]. *)
+    the subtree aggregate of its copy. One leaves-first pass serves all
+    [k] copies: over [visit] in reverse when it is given, which must be
+    the order {!Ids_graph.Spanning_tree.bfs_visit} returned with [tree],
+    else over {!Ids_graph.Spanning_tree.leaves_first} (any tree, such as
+    one built from a prover's labels).
+    @raise Invalid_argument if [Array.length sums <> n * k] or
+    [visit] does not have [n] entries. *)
 
 val honest_sums : 'a Ids_hash.Field.t -> Ids_graph.Spanning_tree.t -> term:(int -> 'a) -> 'a array
 (** Prover-side: for every [v], the true subtree aggregate

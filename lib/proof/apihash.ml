@@ -8,6 +8,7 @@ module Api = Ids_hash.Api
 module Rng = Ids_bignum.Rng
 module Engine = Ids_engine.Engine
 module Scheduler = Ids_engine.Scheduler
+module Obs = Ids_obs.Obs
 
 type params = { q : int; field : int Field.t; copies : int; domains : int; tables : int Api.memo }
 
@@ -83,23 +84,33 @@ type advice = {
   claim : int;
 }
 
+(* The prover's phases, each under an Obs span: BFS beside the power
+   tables, the row terms, the accumulation. BFS reads only the graph and
+   the tables only the spec, so BFS is one task of the pool batch that
+   fills the table segments. Each node's k-vector is then computed once,
+   straight into its flat slot, over node ranges on the pool (the ranges
+   write disjoint slots and share the tables read-only), and the subtree
+   sums accumulate in place over BFS's visit order, read in reverse. *)
 let honest_advice params (spec : int Api.spec) ~root g =
   let n = Graph.n g in
   let f = params.field and k = params.copies and domains = params.domains in
-  let tree = Spanning_tree.bfs g root in
-  (* Each node's k-vector is computed once, straight into its flat slot,
-     over node ranges on the pool (the ranges write disjoint slots and
-     share the tables read-only), then the subtree sums accumulate in
-     place. *)
-  let tables = Api.memo_tables ~domains params.tables f spec ~n in
+  let bfs = ref None in
+  let tables =
+    Obs.span "apihash.bfs_tables" (fun () ->
+        Api.memo_tables ~domains
+          ~alongside:(fun () -> bfs := Some (Spanning_tree.bfs_visit g root))
+          params.tables f spec ~n)
+  in
+  let tree, visit = Option.get !bfs in
   let agg = Array.make (n * k) 0 in
-  ignore
-    (Scheduler.map_ranges ~domains ~n (fun ~lo ~hi ->
-         let term = Api.node_term_into f in
-         for v = lo to hi - 1 do
-           term tables g v agg (v * k)
-         done));
-  Aggregation.accumulate f tree ~k agg;
+  Obs.span "apihash.row_terms" (fun () ->
+      ignore
+        (Scheduler.map_ranges ~domains ~n (fun ~lo ~hi ->
+             let term = Api.node_term_into f in
+             for v = lo to hi - 1 do
+               term tables g v agg (v * k)
+             done)));
+  Obs.span "apihash.accumulate" (fun () -> Aggregation.accumulate ~visit f tree ~k agg);
   { root;
     parent = tree.Spanning_tree.parent;
     dist = tree.Spanning_tree.dist;
@@ -144,49 +155,48 @@ let run_body ?domains ?fault ?(prover = honest) ?k ~seed ~root g =
   let f = params.field and k = params.copies and domains = params.domains in
   let net = Network.create ?fault ~seed g in
   let spec_bits = Api.spec_bits f ~k in
-  (* Arthur: every node draws a spec; the root's draw is the shared one the
-     prover must echo. Each node's draw comes from its own generator, split
-     off in node order, and only the root's is ever read: the round keeps
-     the root's generator (Array.init calls [gen] in node order, so a call
-     counter names the node) and draws the one spec from it, the same value
-     as drawing all n. The other n - 1 draws would cost a rejection loop
-     per field element whose length depends on how close q lies to a power
-     of two, i.e. on the seed; returning [None] for them also keeps the
-     round's array immediate instead of holding n boxed generators. *)
-  let calls = ref (-1) in
-  let gens =
-    Network.challenge net ~bits:spec_bits (fun rng ->
-        incr calls;
-        if !calls = root then Some rng else None)
+  (* Arthur: every node draws a spec, and the root's draw is the shared one
+     the prover must echo. The round charges and faults all n draws, but
+     only the root's is ever read, so only the root's generator is
+     derived, by position: the same spec as drawing at every node, and no
+     allocation per node. The other n - 1 draws would each cost a
+     rejection loop per field element whose length depends on how close q
+     lies to a power of two, i.e. on the seed. *)
+  let root_spec =
+    Obs.span "apihash.arthur" (fun () ->
+        Api.random_spec f ~k (Network.challenge_rngs net ~bits:spec_bits root))
   in
-  let root_spec = Api.random_spec f ~k (Option.get gens.(root)) in
   let a = prover params root_spec ~root g in
-  (* Merlin broadcasts; unfaulted runs share a single spec record across
-     all n slots. *)
-  let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
-  let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
-  let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
-  let spec_bc = Network.broadcast_uniform net ~corrupt:spec_corrupt ~bits:spec_bits root_spec in
-  let claim_bc = Network.broadcast_uniform net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim in
-  let root_bc = Network.broadcast_uniform net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root in
-  (* Merlin unicasts: tree labels, then each node's k-row of subtree
-     aggregates. The row round delivers row v as the index v into the
-     prover's flat array, not as a copy; a row a fault corrupts is copied
-     out, corrupted, and delivered as a negative index into [forged]. *)
-  let parent_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.parent in
-  let dist_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.dist in
-  (* A row past the end of a cheating prover's array reads as -1, which the
-     range check rejects deterministically. *)
-  let sent s i = if (s * k) + i < Array.length a.agg then a.agg.((s * k) + i) else -1 in
-  let forged_rev = ref [] and nforged = ref 0 in
-  let forge rng s =
-    forged_rev := Fault.corrupt_entry field_corrupt rng (Array.init k (sent s)) :: !forged_rev;
-    incr nforged;
-    - !nforged
+  let rounds () =
+    (* Merlin broadcasts; unfaulted runs share a single spec record across
+       all n slots. *)
+    let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
+    let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
+    let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
+    let spec_bc = Network.broadcast_uniform net ~corrupt:spec_corrupt ~bits:spec_bits root_spec in
+    let claim_bc = Network.broadcast_uniform net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim in
+    let root_bc = Network.broadcast_uniform net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root in
+    (* Merlin unicasts: tree labels, then each node's k-row of subtree
+       aggregates. The row round delivers row v as the index v into the
+       prover's flat array, not as a copy; a row a fault corrupts is copied
+       out, corrupted, and delivered as a negative index into [forged]. *)
+    let parent_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.parent in
+    let dist_bc = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) a.dist in
+    (* A row past the end of a cheating prover's array reads as -1, which the
+       range check rejects deterministically. *)
+    let sent s i = if (s * k) + i < Array.length a.agg then a.agg.((s * k) + i) else -1 in
+    let forged_rev = ref [] and nforged = ref 0 in
+    let forge rng s =
+      forged_rev := Fault.corrupt_entry field_corrupt rng (Array.init k (sent s)) :: !forged_rev;
+      incr nforged;
+      - !nforged
+    in
+    let row_bc = Network.unicast net ~corrupt:forge ~bits:(k * f.Field.bits) (Array.init n Fun.id) in
+    let forged = Array.of_list (List.rev !forged_rev) in
+    let agg v i = let s = row_bc.(v) in if s >= 0 then sent s i else forged.(-s - 1).(i) in
+    (spec_bc, claim_bc, root_bc, parent_bc, dist_bc, agg)
   in
-  let row_bc = Network.unicast net ~corrupt:forge ~bits:(k * f.Field.bits) (Array.init n Fun.id) in
-  let forged = Array.of_list (List.rev !forged_rev) in
-  let agg v i = let s = row_bc.(v) in if s >= 0 then sent s i else forged.(-s - 1).(i) in
+  let spec_bc, claim_bc, root_bc, parent_bc, dist_bc, agg = Obs.span "apihash.merlin" rounds in
   (* Local verification inside decide, over node ranges on the pool. The
      spec range check runs and the power tables of every delivered point
      vector that passes it are resolved first, serially, and read by every
@@ -194,20 +204,23 @@ let run_body ?domains ?fault ?(prover = honest) ?k ~seed ~root g =
      built. Each range has its own verifier, whose scratch is its own. *)
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
-  let tables_of = Api.tables_for ~domains params.tables f ~n ~valid:(Api.spec_ok ~k ~in_field:field_ok) spec_bc in
-  let check () =
-    let own = Api.node_term_into f in
-    Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_bc ~dist:dist_bc
-      ~quantities:k ~claimed:agg
-      ~own:(fun v dst -> own (Option.get (tables_of v)) g v dst 0)
-      ~same:(fun u v -> claim_bc.(u) = claim_bc.(v) && spec_eq spec_bc.(u) spec_bc.(v))
-      ~local:(fun v -> field_ok claim_bc.(v) && Option.is_some (tables_of v))
-      ~at_root:(fun v ->
-        f.Field.equal (Api.finalize f spec_bc.(v) (Array.init k (agg v))) claim_bc.(v)
-        && v = root && spec_eq spec_bc.(v) root_spec)
+  let decide () =
+    let tables_of = Api.tables_for ~domains params.tables f ~n ~valid:(Api.spec_ok ~k ~in_field:field_ok) spec_bc in
+    let check () =
+      let own = Api.node_term_into f in
+      Aggregation.verifier f ~in_field:field_ok net ~root:root_bc ~parent:parent_bc ~dist:dist_bc
+        ~quantities:k ~claimed:agg
+        ~own:(fun v dst -> own (Option.get (tables_of v)) g v dst 0)
+        ~same:(fun u v -> claim_bc.(u) = claim_bc.(v) && spec_eq spec_bc.(u) spec_bc.(v))
+        ~local:(fun v -> field_ok claim_bc.(v) && Option.is_some (tables_of v))
+        ~at_root:(fun v ->
+          f.Field.equal (Api.finalize f spec_bc.(v) (Array.init k (agg v))) claim_bc.(v)
+          && v = root && spec_eq spec_bc.(v) root_spec)
+    in
+    Network.decide_ranges net ~domains check
   in
-  let accepted = Network.decide_ranges net ~domains check in
+  let accepted = Obs.span "apihash.decide" decide in
   Outcome.of_cost ~accepted ~prover:"apihash" (Network.cost net)
 
 let run ?domains ?fault ?prover ?k ~seed ~root g =
-  Ids_obs.Obs.span "apihash.run" (fun () -> run_body ?domains ?fault ?prover ?k ~seed ~root g)
+  Obs.span "apihash.run" (fun () -> run_body ?domains ?fault ?prover ?k ~seed ~root g)

@@ -13,7 +13,8 @@
     aggregate breaks an equation at some node.
 
     Every round runs over {!Ids_network.Network}'s array rounds: the
-    Arthur round keeps only the root's generator, and every other round
+    Arthur round derives only the root's generator
+    ({!Ids_network.Network.challenge_rngs}), and every other round
     delivers one machine word per node: the aggregate round delivers node
     [v]'s k-row as the index [v] into the prover's flat array, and only a
     row a fault corrupts is copied out. So the protocol completes at
@@ -21,7 +22,7 @@
     aggregates, and O(max degree) transient state per verified node. This
     is the scale exemplar benchmarked by [bench/scale].
 
-    {2 What runs split}
+    {2 What runs where}
 
     The per-node work runs over node ranges
     ({!Ids_engine.Scheduler.map_ranges}) on [params.domains] domains: the
@@ -31,17 +32,25 @@
     {!Ids_network.Network.decide_ranges}. Neither phase allocates per
     node, so no minor collection stops the domains mid-phase. The power
     tables are built once per point vector, as pool tasks over segments
-    of the [2k] power chains, kept in [params.tables], and
-    read by every range and by both sides: the verifier resolves the
-    tables of every delivered point vector in one serial pass before the
-    split, and on an honest run finds the set the prover built. BFS,
-    {!Aggregation.accumulate}, the Arthur draw and the five Merlin rounds
-    run in the caller, and no randomness is drawn in a split section, so
-    the {!Outcome.t} is the same for every domain count. [domains] reaches the run the
-    [Engine.run ?domains] way: {!run}'s [?domains] goes to {!params_for},
-    which defaults to {!Ids_engine.Engine.default_domains} ([IDS_DOMAINS]).
-    Inside an engine trial the split runs inline (see
-    {!Ids_engine.Scheduler}). *)
+    of the [2k] power chains, kept in [params.tables], and read by every
+    range and by both sides: the verifier resolves the tables of every
+    delivered point vector in one serial pass before the split, and on an
+    honest run finds the set the prover built. The prover's BFS is one
+    more task of the batch that builds the tables, so it runs beside
+    them. In the caller run the Arthur round (one generator and one spec
+    draw), {!Aggregation.accumulate} over BFS's visit order in reverse,
+    and the six Merlin rounds; with no crashed node and tracing off, each
+    round charges the ledger once, not once per node. No randomness is
+    drawn in a split section, so the {!Outcome.t} is the same for every
+    domain count. [domains] reaches the run the [Engine.run ?domains] way:
+    {!run}'s [?domains] goes to {!params_for}, which defaults to
+    {!Ids_engine.Engine.default_domains} ([IDS_DOMAINS]). Inside an
+    engine trial the split runs inline (see {!Ids_engine.Scheduler}).
+
+    Each phase runs under an {!Ids_obs.Obs} span: [apihash.arthur],
+    [apihash.bfs_tables], [apihash.row_terms], [apihash.accumulate] (the
+    last three inside the honest prover), [apihash.merlin] and
+    [apihash.decide], all inside [apihash.run]. *)
 
 type params = {
   q : int;
@@ -89,7 +98,8 @@ val honest_advice : params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Gra
 type prover = params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
 
 val honest : prover
-(** {!honest_advice}: its row terms split over [params.domains]. *)
+(** {!honest_advice}: its BFS beside the table batch and its row terms
+    split over [params.domains]. *)
 
 val adversary_wrong_claim : prover
 (** Honest advice with the claimed hash shifted: rejected with

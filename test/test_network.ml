@@ -3,6 +3,7 @@
 
 open Ids_network
 module Graph = Ids_graph.Graph
+module Rng = Ids_bignum.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -248,6 +249,108 @@ let test_cost_negative_charge_raises () =
   Alcotest.check_raises "all_from_prover" (Invalid_argument "Cost.charge_from_prover: negative bits")
     (fun () -> Cost.charge_all_from_prover (Cost.create 2) (-3))
 
+(* --- uniform round charges ---------------------------------------------------- *)
+
+(* A charge script over an n-node ledger, n = 0 included: [None] is a
+   uniform charge to every node, [Some v] a charge to node v (skipped when
+   v is not a node). *)
+let arb_ledger_script =
+  QCheck.(pair (int_bound 6) (list_of_size (Gen.int_bound 30) (triple bool (option (int_bound 6)) (int_bound 1000))))
+
+let prop_uniform_charges_match_per_node =
+  QCheck.Test.make ~name:"cost: uniform charges = the same charge at every node" ~count:300 arb_ledger_script
+    (fun (n, script) ->
+      let c = Cost.create n and reference = Cost.create n in
+      let charge ledger to_prover v bits =
+        if to_prover then Cost.charge_to_prover ledger v bits else Cost.charge_from_prover ledger v bits
+      in
+      List.iter
+        (fun (to_prover, node, bits) ->
+          match node with
+          | None ->
+            if to_prover then Cost.charge_all_to_prover c bits else Cost.charge_all_from_prover c bits;
+            for v = 0 to n - 1 do
+              charge reference to_prover v bits
+            done
+          | Some v when v < n ->
+            charge c to_prover v bits;
+            charge reference to_prover v bits
+          | Some _ -> ())
+        script;
+      List.for_all
+        (fun v ->
+          Cost.to_prover c v = Cost.to_prover reference v && Cost.from_prover c v = Cost.from_prover reference v)
+        (List.init n Fun.id)
+      && Cost.n c = n
+      && Cost.max_per_node c = Cost.max_per_node reference
+      && Cost.max_from_prover c = Cost.max_from_prover reference
+      && Cost.total c = Cost.total reference)
+
+(* With crashes in the execution the rounds charge node by node, and a
+   crashed node, silent for the whole execution, is charged nothing. *)
+let test_crashed_nodes_charged_nothing () =
+  let n = 16 in
+  let g = Graph.cycle n in
+  let rec crashing seed =
+    let net = Network.create ~fault:(Fault.crash_only 0.3) ~seed g in
+    let crashed = List.filter (Network.crashed net) (List.init n Fun.id) in
+    if crashed <> [] && List.length crashed < n then net else crashing (seed + 1)
+  in
+  let net = crashing 1 in
+  let (_ : int -> Rng.t) = Network.challenge_rngs net ~bits:7 in
+  ignore (Network.unicast net ~bits:5 (Array.make n 0));
+  ignore (Network.broadcast_uniform net ~bits:3 0);
+  let c = Network.cost net in
+  let live = ref 0 in
+  for v = 0 to n - 1 do
+    let up, down = if Network.crashed net v then (0, 0) else (incr live; (7, 8)) in
+    Alcotest.(check int) (Printf.sprintf "node %d sent" v) up (Cost.to_prover c v);
+    Alcotest.(check int) (Printf.sprintf "node %d received" v) down (Cost.from_prover c v)
+  done;
+  Alcotest.(check int) "total: live nodes only" (!live * 15) (Cost.total c);
+  Alcotest.(check int) "max per node" 15 (Cost.max_per_node c)
+
+(* --- Arthur's generators by position ----------------------------------------- *)
+
+(* The generators Network.challenge handed out before they were derived by
+   position: one Rng.split of the execution's generator per node, in node
+   order. Returns them and the generator the loop leaves behind. *)
+let split_loop ~seed n =
+  let rng = Rng.create seed in
+  let gens = Array.init n (fun _ -> Rng.split rng) in
+  (gens, rng)
+
+let stream rng = List.init 5 (fun _ -> Rng.next_int64 rng)
+
+let fault_of = function 0 -> Fault.none | 1 -> Fault.drop_only 0.3 | _ -> Fault.crash_only 0.3
+
+let prop_challenge_positional =
+  QCheck.Test.make ~name:"challenge: node v's generator = the v-th split of the old loop" ~count:200
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 40) (int_bound 2))
+    (fun (seed, n, which) ->
+      let fault = fault_of which and g = Graph.make n in
+      let gens, after = split_loop ~seed n in
+      let want = Array.map stream gens in
+      let net = Network.create ~fault ~seed g in
+      let got = Network.challenge net ~bits:3 stream in
+      (* The same round with the draws left to the caller, made in reverse
+         node order: only the position names a node's generator. *)
+      let net' = Network.create ~fault ~seed g in
+      let node_rng = Network.challenge_rngs net' ~bits:3 in
+      let got' = Array.make n [] in
+      for v = n - 1 downto 0 do
+        got'.(v) <- stream (node_rng v)
+      done;
+      let next net = Rng.next_int64 (Rng.copy (Network.rng net)) in
+      let missed net = List.filter (Network.missed net) (List.init n Fun.id) in
+      let after = Rng.next_int64 after in
+      got = want
+      && got' = want
+      && next net = after
+      && next net' = after
+      && missed net = missed net'
+      && Cost.total (Network.cost net) = Cost.total (Network.cost net'))
+
 let suite =
   [ ( "bits",
       [ Alcotest.test_case "known values" `Quick test_bits_values;
@@ -258,7 +361,9 @@ let suite =
         Alcotest.test_case "negative charge raises" `Quick test_cost_negative_charge_raises;
         qtest prop_cost_total_is_sum;
         qtest prop_cost_invariants;
-        qtest prop_cost_max_per_node_upper_bound
+        qtest prop_cost_max_per_node_upper_bound;
+        qtest prop_uniform_charges_match_per_node;
+        Alcotest.test_case "crashed nodes charged nothing" `Quick test_crashed_nodes_charged_nothing
       ] );
     ( "network",
       [ Alcotest.test_case "challenge charges + determinism" `Quick test_challenge_charges_and_determinism;
@@ -274,6 +379,7 @@ let suite =
           test_equivocation_not_caught_across_components;
         Alcotest.test_case "unicast length mismatch" `Quick test_unicast_length_mismatch;
         Alcotest.test_case "decide = conjunction" `Quick test_decide_all_must_accept;
-        Alcotest.test_case "decide over node ranges" `Quick test_decide_ranges
+        Alcotest.test_case "decide over node ranges" `Quick test_decide_ranges;
+        qtest prop_challenge_positional
       ] )
   ]

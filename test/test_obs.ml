@@ -340,6 +340,29 @@ let test_worker_spans_survive_reset () =
       Alcotest.(check int) "every task span is merged" 32
         (List.length (List.filter (fun (r : Obs.span_record) -> r.Obs.sname = "test.pool_task") (Obs.spans ()))))
 
+(* A traced Apihash run takes the per-node ledger path (every charge also
+   bumps its (round, node) cell) and an untraced one the uniform charges:
+   the same Outcome.t, and the traced cells still add up to the ledger.
+   The traced run records each of the run's phase spans once. *)
+let test_apihash_traced_pair () =
+  let g = Family.expander (Rng.create 4) ~n:64 ~degree:4 in
+  List.iter
+    (fun (fault, label) ->
+      let untraced = Apihash.run ?fault ~seed:3 ~root:0 g in
+      with_tracing (fun () ->
+          let traced = Apihash.run ?fault ~seed:3 ~root:0 g in
+          Alcotest.(check bool) (label ^ ": same outcome traced and untraced") true (traced = untraced);
+          let s = Obs.snapshot () in
+          Alcotest.(check int) (label ^ ": net bit cells = Cost.total") traced.Outcome.total_bits
+            (total "net.to_prover_bits" s + total "net.from_prover_bits" s);
+          List.iter
+            (fun phase ->
+              Alcotest.(check int) (label ^ ": one span " ^ phase) 1
+                (List.length (List.filter (fun (r : Obs.span_record) -> r.Obs.sname = phase) (Obs.spans ()))))
+            [ "apihash.arthur"; "apihash.bfs_tables"; "apihash.row_terms"; "apihash.accumulate"; "apihash.merlin";
+              "apihash.decide"; "apihash.run" ]))
+    [ (None, "clean"); (Some (Ids_network.Fault.crash_only ~crash_mode:Ids_network.Fault.Crash_vacuous 0.1), "crash") ]
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "traced estimates deterministic across domains" `Slow
@@ -361,6 +384,7 @@ let suite =
           test_runlog_read_file_mixed;
         Alcotest.test_case "run-log sink is created lazily" `Quick
           test_lazy_sink_creates_no_file_until_log;
-        Alcotest.test_case "pool worker spans survive Obs.reset" `Quick test_worker_spans_survive_reset
+        Alcotest.test_case "pool worker spans survive Obs.reset" `Quick test_worker_spans_survive_reset;
+        Alcotest.test_case "apihash traced/untraced pair" `Quick test_apihash_traced_pair
       ] )
   ]

@@ -340,6 +340,48 @@ let prop_accumulate_matches_scalar =
                (List.init n Fun.id))
            (List.init k Fun.id))
 
+(* BFS's visit order on random connected graphs, sparse trees and gnp
+   graphs of either density, on either backend: a permutation starting at
+   the root, along which [dist] never decreases, each level sorted by
+   (parent's position, vertex), and every vertex after its parent, so that
+   read in reverse it puts each vertex after all of its descendants.
+   Accumulating over it equals the leaves-first accumulation. *)
+let prop_bfs_visit_order =
+  QCheck.Test.make ~name:"Spanning_tree: BFS visit order" ~count:200 arb_seed (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 40 in
+      let repr = if Rng.bool rng then Graph.Sparse else Graph.Dense in
+      let g =
+        match Rng.int rng 3 with
+        | 0 -> Graph.random_tree ~repr rng n
+        | 1 -> Graph.random_connected_gnp ~repr rng n 0.1
+        | _ -> Graph.random_connected_gnp ~repr rng n 0.6
+      in
+      let root = Rng.int rng n in
+      let tree, order = Spanning_tree.bfs_visit g root in
+      let parent = tree.Spanning_tree.parent and dist = tree.Spanning_tree.dist in
+      let pos = Array.make n (-1) in
+      Array.iteri (fun i v -> pos.(v) <- i) order;
+      let f = Field.int_field 10007 and k = 1 + Rng.int rng 3 in
+      let terms = Array.init (n * k) (fun _ -> f.Field.random rng) in
+      let by_visit = Array.copy terms and by_depth = Array.copy terms in
+      Aggregation.accumulate ~visit:order f tree ~k by_visit;
+      Aggregation.accumulate f tree ~k by_depth;
+      tree = Spanning_tree.bfs g root
+      && order.(0) = root
+      && List.sort compare (Array.to_list order) = List.init n Fun.id
+      && List.for_all
+           (fun i ->
+             let v = order.(i) and u = order.(i + 1) in
+             dist.(v) <= dist.(u)
+             && (dist.(v) < dist.(u) || (pos.(parent.(v)), v) < (pos.(parent.(u)), u)))
+           (List.init (n - 1) Fun.id)
+      && List.for_all (fun v -> v = root || pos.(parent.(v)) < pos.(v)) (List.init n Fun.id)
+      && List.for_all
+           (fun v -> List.for_all (fun u -> u = v || pos.(u) > pos.(v)) (Spanning_tree.subtree tree v))
+           (List.init n Fun.id)
+      && by_visit = by_depth)
+
 (* --- graph structure --------------------------------------------------------------- *)
 
 let prop_relabel_preserves_degrees =
@@ -505,7 +547,7 @@ let suite =
           prop_tabled_hash_int62;
           prop_tabled_hash_nat
         ] );
-    ("properties:agg", List.map qtest [ prop_accumulate_matches_scalar ]);
+    ("properties:agg", List.map qtest [ prop_accumulate_matches_scalar; prop_bfs_visit_order ]);
     ( "properties:graph",
       Alcotest.test_case "hypercube automorphisms" `Quick test_hypercube_automorphisms
       :: Alcotest.test_case "spanning tree edge count" `Quick test_spanning_tree_edge_count

@@ -247,11 +247,11 @@ let test_apihash_outcome_pins () =
         cells)
     apihash_outcome_pins
 
-(* Arthur's round keeps only the root's generator and draws the shared
-   spec from it; that spec must be the root's entry of the array
-   primitive, which draws at every node, on clean and faulted runs and at
-   a root other than 0. The Outcome pins above cannot see the spec's
-   value: an honest run accepts whatever was drawn. *)
+(* Arthur's round derives only the root's generator, by position, and
+   draws the shared spec from it; that spec must be the root's entry of
+   the array primitive, which draws at every node, on clean and faulted
+   runs and at a root other than 0. The Outcome pins above cannot see
+   the spec's value: an honest run accepts whatever was drawn. *)
 let test_apihash_root_spec () =
   let graphs = [ Family.expander (Rng.create 4) ~n:64 ~degree:4; Graph.grid 6 6 ] in
   List.iter
@@ -345,11 +345,18 @@ let test_bench_scale_shape () =
        protocols completed end-to-end at n = 10^6 with throughput and
        peak-RSS numbers present. *)
     checki "n is one million" 1_000_000 (int_at "n");
+    (* It names what produced it: the domain count the Apihash run split
+       over and the commit it ran on. *)
+    checkb "domains >= 1" true (int_at "domains" >= 1);
+    checkb "commit recorded" true
+      (match Option.bind (mem "commit") Ids_obs.Json.to_string with
+       | Some c -> c <> "" && c <> "unknown"
+       | None -> false);
     checkb "full run, not smoke" true (mem "smoke" = Some (Ids_obs.Json.Bool false));
     List.iter
       (fun k -> if mem k = None then Alcotest.failf "BENCH_scale.json: missing %S" k)
       [ "degree"; "repr"; "graph_build_seconds"; "sparse6_bytes"; "pls_tree"; "apihash";
-        "apihash_q"; "apihash_copies"; "peak_rss_mb" ];
+        "apihash_q"; "apihash_copies"; "apihash_phase_ms"; "peak_rss_mb" ];
     List.iter
       (fun proto ->
         let sub k =
