@@ -24,7 +24,9 @@ test:
 # E12 at a quarter budget (every row-hash caller end to end, E2 over both
 # of Protocol 2's field paths: one-limb primes up to n = 12, multi-limb
 # above), and the E13 fault sweep at a quarter budget (every protocol's
-# verifier under every fault class). The suite
+# verifier under every fault class) — those eight tables in one run, diffed
+# byte for byte (less the engine: line) against bench/golden/etables_q.txt,
+# which any IDS_DOMAINS and either bignum kernel must reproduce. The suite
 # runs twice: once on the C bignum kernels, once on the pure-OCaml
 # fallback, so the fallback's bit-identity is tested, not assumed. The
 # scale smoke runs three times, on the default domain count, at
@@ -34,9 +36,9 @@ test:
 check:
 	dune build && dune runtest && \
 	IDS_BIGNUM_KERNEL=ocaml dune test --force && \
-	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e5 e9 e11 && \
-	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e1 e2 e3 e12 && \
-	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e13 && \
+	IDS_RUNLOG= IDS_TRIALS_SCALE=0.25 dune exec bench/main.exe -- e1 e2 e3 e5 e9 e11 e12 e13 \
+	  > _build/etables_q.txt && \
+	grep -v '^engine: ' _build/etables_q.txt | diff -u bench/golden/etables_q.txt - && \
 	dune exec bench/modarith/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/setup/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/frontier/main.exe -- --smoke -o /dev/null && \

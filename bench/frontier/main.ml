@@ -8,8 +8,9 @@
    - run the Search engine (coordinate descent + (mu+lambda) refinement,
      SPRT screening) over the declarative cheat grid with the fault axis
      frozen to "none" — the paper-model frontier;
-   - evaluate every hand-written registry cheater on the same instance at
-     the same budget — the frontier must dominate the registry (asserted);
+   - evaluate every registry cheater (each a seed-0 grid point) on the
+     same instance at the same budget — the frontier must dominate the
+     registry (asserted);
    - re-evaluate the best-found strategy under each fault level — the
      fault-sensitivity row (crash-vacuous is the PR2 leak).
 

@@ -40,6 +40,11 @@ let rate_of est = est.Engine.rate
 
 let ci est = Printf.sprintf "[%.3f,%.3f]" est.Engine.ci_low est.Engine.ci_high
 
+(* The registry cheaters the NO rows run. *)
+let dmam_random_perm = List.assoc "random-perm" Adversary.sym_dmam
+let dam_search = List.assoc "search" Adversary.sym_dam
+let dsym_consistent = List.assoc "consistent" Adversary.dsym
+
 (* --- E1: Theorem 1.1 — Sym in dMAM[O(log n)] ---------------------------------- *)
 
 let e1 () =
@@ -58,7 +63,7 @@ let e1 () =
       in
       let no =
         est ~protocol:"sym_dmam" ~n ~prover:"random-perm" ~trials (fun seed ->
-            Sym_dmam.run ~seed no_g Sym_dmam.adversary_random_perm)
+            Sym_dmam.run ~seed no_g dmam_random_perm)
       in
       let params = Sym_dmam.params_for ~seed:3 no_g in
       let exact =
@@ -95,7 +100,7 @@ let e2 () =
       let no_params = Sym_dam.params_for ~seed:5 no_g in
       let no =
         est ~protocol:"sym_dam" ~n ~prover:"search" ~trials (fun seed ->
-            Sym_dam.run ~params:no_params ~seed no_g Sym_dam.adversary_search)
+            Sym_dam.run ~params:no_params ~seed no_g dam_search)
       in
       Printf.printf "%6d | %9.3f %15s %9.3f %15s | %12.1f %12d | %12d\n" n (rate_of yes) (ci yes)
         (rate_of no) (ci no) yes.Engine.mean_bits
@@ -124,7 +129,7 @@ let e3 () =
            parallel engine to be deterministic. *)
         est ~protocol:"dsym" ~n ~prover:"consistent" ~trials (fun seed ->
             let bad = Dsym.make_instance ~n ~r (Family.dsym_perturbed (Rng.create (31 + seed)) f r) in
-            Dsym.run ~seed bad Dsym.adversary_consistent)
+            Dsym.run ~seed bad dsym_consistent)
       in
       let lcp = Pls.Lcp_sym.advice_bits (Family.dsym_graph f r) in
       Printf.printf "%6d %9d | %13d %13.0f %8.0fx | %9.3f %9.3f\n" n
@@ -311,7 +316,7 @@ let e8 () =
   in
   let no =
     est ~protocol:"sym_dmam" ~n:16 ~prover:"random-perm" ~trials:80 (fun seed ->
-        Sym_dmam.run ~seed no_g Sym_dmam.adversary_random_perm)
+        Sym_dmam.run ~seed no_g dmam_random_perm)
   in
   row "Sym dMAM (Protocol 1)" yes no "random non-identity perm";
   let yes2 =
@@ -320,7 +325,7 @@ let e8 () =
   in
   let no2 =
     est ~protocol:"sym_dam" ~n:16 ~prover:"search" ~trials:20 (fun seed ->
-        Sym_dam.run ~seed no_g Sym_dam.adversary_search)
+        Sym_dam.run ~seed no_g dam_search)
   in
   row "Sym dAM (Protocol 2)" yes2 no2 "post-challenge search";
   let f = Family.random_asymmetric rng 8 in
@@ -331,7 +336,7 @@ let e8 () =
   let no3 =
     est ~protocol:"dsym" ~n:8 ~prover:"consistent" ~trials:60 (fun seed ->
         let bad = Dsym.make_instance ~n:8 ~r:2 (Family.dsym_perturbed (Rng.create (83 + seed)) f 2) in
-        Dsym.run ~seed bad Dsym.adversary_consistent)
+        Dsym.run ~seed bad dsym_consistent)
   in
   row "DSym dAM" yes3 no3 "consistent play on NO";
   let gy = Gni.yes_instance rng 6 and gn = Gni.no_instance rng 6 in
@@ -363,7 +368,7 @@ let e8 () =
   in
   sprt "Protocol 1, YES instance" ~prover:"honest" (fun seed -> Sym_dmam.run ~seed yes_g Sym_dmam.honest);
   sprt "Protocol 1, NO instance" ~prover:"random-perm" (fun seed ->
-      Sym_dmam.run ~seed no_g Sym_dmam.adversary_random_perm)
+      Sym_dmam.run ~seed no_g dmam_random_perm)
 
 (* --- E9: unrestricted GNI (automorphism compensation) ------------------------------- *)
 
@@ -423,9 +428,7 @@ let e10 () =
     [ 0.1; 0.01; 1e-4; 1e-9 ];
   let yes_g = Family.random_symmetric rng 12 and no_g = Family.random_asymmetric rng 12 in
   let yes = Amplify.majority ~trials:15 (fun seed -> Sym_dmam.run ~seed yes_g Sym_dmam.honest) in
-  let no =
-    Amplify.majority ~trials:15 (fun seed -> Sym_dmam.run ~seed no_g Sym_dmam.adversary_random_perm)
-  in
+  let no = Amplify.majority ~trials:15 (fun seed -> Sym_dmam.run ~seed no_g dmam_random_perm) in
   Printf.printf "15x Protocol 1, n = 12: YES %s (%d/15), NO %s (%d/15), %d bits/node total\n"
     (if yes.Amplify.outcome.Outcome.accepted then "ACCEPT" else "REJECT")
     yes.Amplify.accepts

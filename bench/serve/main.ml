@@ -35,9 +35,22 @@ module Chaos = Ids_serve.Chaos
 module Supervisor = Ids_serve.Supervisor
 module Runlog = Ids_engine.Runlog
 module Fault = Ids_network.Fault
+module Obs = Ids_obs.Obs
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bench/serve FAILED: " ^ m); exit 1) fmt
-let now () = Unix.gettimeofday ()
+(* Daemons forked by the running phase: a failing assertion must kill them,
+   or the orphans keep the bench's stdout pipe open and hang the harness. *)
+let daemons : int list ref = ref []
+
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench/serve FAILED: " ^ m);
+      List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) !daemons;
+      exit 1)
+    fmt
+
+(* Seconds on the monotonic clock. *)
+let now () = float_of_int (Obs.now_ns ()) *. 1e-9
 
 (* --- the in-process oracle -------------------------------------------------------- *)
 
@@ -68,9 +81,12 @@ let start_daemon cfg =
     | Error e ->
       Printf.eprintf "daemon: %s\n%!" e;
       Unix._exit 1)
-  | pid -> pid
+  | pid ->
+    daemons := pid :: !daemons;
+    pid
 
 let stop_daemon pid =
+  daemons := List.filter (fun p -> p <> pid) !daemons;
   Unix.kill pid Sys.sigterm;
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()

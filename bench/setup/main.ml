@@ -39,11 +39,11 @@ type prime_row = {
 }
 
 let time_us_once reps f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   for i = 0 to reps - 1 do
     ignore (Sys.opaque_identity (f i))
   done;
-  (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int reps
+  float_of_int (Obs.now_ns () - t0) /. 1e3 /. float_of_int reps
 
 (* Best of three windows: a single scheduler blip or major-GC slice in a
    tens-of-milliseconds window skews one side of a ratio by double-digit

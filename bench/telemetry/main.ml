@@ -53,7 +53,8 @@ let fail fmt =
       exit 1)
     fmt
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock. *)
+let now () = float_of_int (Obs.now_ns ()) *. 1e-9
 
 (* --- the instrumented in-process oracle ------------------------------------------- *)
 

@@ -85,7 +85,7 @@ let sym_dam_cmd =
   let run seed n asymmetric trials =
     let rng = Rng.create seed in
     let g = if asymmetric then Family.random_asymmetric rng n else Family.random_symmetric rng n in
-    let prover = if asymmetric then Sym_dam.adversary_search else Sym_dam.honest in
+    let prover = if asymmetric then List.assoc "search" Adversary.sym_dam else Sym_dam.honest in
     Printf.printf "instance: %d nodes, symmetric = %b; prime has %d bits\n" (Graph.n g)
       (Iso.is_symmetric g)
       (Ids_bignum.Nat.bit_length (Sym_dam.params_for ~seed g).Sym_dam.p);
@@ -107,7 +107,7 @@ let dsym_cmd =
     let g = if perturb then Family.dsym_perturbed rng f r else Family.dsym_graph f r in
     let inst = Dsym.make_instance ~n ~r g in
     Printf.printf "instance: %d vertices, DSym member = %b\n" (Graph.n g) (Family.is_dsym_member ~n ~r g);
-    let prover = if perturb then Dsym.adversary_consistent else Dsym.honest in
+    let prover = if perturb then List.assoc "consistent" Adversary.dsym else Dsym.honest in
     if trials > 0 then
       report_estimate "acceptance" (Stats.acceptance_ci ~trials (fun s -> Dsym.run ~seed:s inst prover))
     else report (Dsym.run ~seed inst prover)

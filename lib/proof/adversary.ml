@@ -5,25 +5,19 @@ module Rng = Ids_bignum.Rng
 
 (* --- per-protocol registries -------------------------------------------------- *)
 
-let sym_dmam : (string * Sym_dmam.prover) list =
-  [ ("random-perm", Sym_dmam.adversary_random_perm);
-    ("forged-sums", Sym_dmam.adversary_forged_sums);
-    ("identity", Sym_dmam.adversary_identity);
-    ("split-broadcast", Sym_dmam.adversary_split_broadcast)
-  ]
+(* Each name is an alias for its [Strategy.registry] point, renamed so run
+   logs label it by registry name. *)
+let aliases protocol prover rename =
+  List.map
+    (fun (name, s) -> (name, rename (prover s) ("adversary:" ^ name)))
+    (Strategy.registry protocol)
 
-let sym_dam : (string * Sym_dam.prover) list =
-  [ ("search", Sym_dam.adversary_search); ("random-perm", Sym_dam.adversary_random_perm) ]
+let sym_dmam =
+  aliases Strategy.Sym_dmam Strategy.sym_dmam_prover (fun p name -> { p with Sym_dmam.name })
 
-let dsym : (string * Dsym.prover) list =
-  [ ("consistent", Dsym.adversary_consistent);
-    ("wrong-permutation", Dsym.adversary_wrong_permutation)
-  ]
-
-let gni : (string * Gni.prover) list =
-  [ ("forge-aggregates", Gni.adversary_forge_aggregates);
-    ("biased-hash", Gni.adversary_biased_hash)
-  ]
+let sym_dam = aliases Strategy.Sym_dam Strategy.sym_dam_prover (fun p name -> { p with Sym_dam.name })
+let dsym = aliases Strategy.Dsym Strategy.dsym_prover (fun p name -> { p with Dsym.name })
+let gni = aliases Strategy.Gni Strategy.gni_prover (fun p name -> { p with Gs.name })
 
 let names registry = List.map fst registry
 

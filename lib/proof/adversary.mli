@@ -4,6 +4,8 @@
     Examples, the demo CLI, and the tests used to each keep a private list
     of adversaries; this module is the single place a strategy gets a name,
     so "which adversaries exist for protocol X" has one answer everywhere.
+    Each protocol entry is an alias for a seed-0 point of the E17 grid
+    ({!Strategy.registry}), served as a prover named ["adversary:<name>"].
     Each strategy embodies one way a prover can cheat:
 
     - Protocol 1 ([sym_dmam]): commit to a wrong permutation (random or

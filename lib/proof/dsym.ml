@@ -70,22 +70,6 @@ let respond_consistently params inst challenges =
 
 let honest = { name = "honest"; respond = respond_consistently }
 
-let adversary_consistent = { name = "adversary:consistent"; respond = respond_consistently }
-
-(* Plays the honest aggregation but for the wrong permutation: sigma composed
-   with the transposition (0 1). Rejected deterministically, even on YES
-   instances. *)
-let adversary_wrong_permutation =
-  { name = "adversary:wrong-permutation";
-    respond =
-      (fun params inst challenges ->
-        let size = Graph.n inst.graph in
-        let sigma =
-          Perm.compose (Precomp.dsym_sigma ~n:inst.n ~r:inst.r) (Perm.transposition size 0 1)
-        in
-        respond_with ~root:honest_root ~sigma params inst challenges)
-  }
-
 (* The purely structural conditions (2) and (3) of Definition 5, from the
    point of view of a single node: which edges is [v] allowed / required to
    have? All of it is a function of [v]'s own neighborhood and the public

@@ -43,8 +43,8 @@ val honest : prover
 
 (** {1 Strategy building blocks}
 
-    Exposed so the E17 strategy space ({!Strategy}) can compose cheats from
-    the same pieces the registry adversaries use. *)
+    Exposed so the E17 strategy space ({!Strategy}), whose seed-0 points
+    are the registry adversaries, can compose cheats from them. *)
 
 val respond_with :
   root:int -> sigma:Ids_graph.Perm.t -> params -> instance -> int array -> response
@@ -58,17 +58,3 @@ val run : ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instanc
     {!Ids_network.Fault}); omitted or {!Ids_network.Fault.none} is the exact
     un-faulted path. *)
 
-val adversary_consistent : prover
-(** Plays the honest strategy's moves even on NO instances (true subtree
-    sums for both matrices); it wins exactly when the fixed [sigma] fails to
-    be an automorphism yet the hash collides — probability at most
-    [(N^2+N)/p] by Theorem 3.2. This is the optimal adversary against
-    structurally valid NO instances, because every other check is
-    deterministic. *)
-
-val adversary_wrong_permutation : prover
-(** Aggregates the b-matrix under [sigma] composed with a transposition
-    instead of the public [sigma]. The verifiers recompute their own b-terms
-    from the true [sigma], so the subtree equations fail deterministically:
-    rejected with probability 1 even on YES instances. A sanity anchor for
-    soundness sweeps. *)

@@ -122,12 +122,6 @@ let cheat ~name ~commit ~reveal =
   let reveal = match reveal with `Honest -> Gs.honest_reveal | `Patch_root -> patch_root_reveal in
   { Gs.name; commit = Gs.commit_with search; reveal }
 
-let adversary_forge_aggregates =
-  cheat ~name:"adversary:forge-aggregates" ~commit:(`Deny (`Random 99)) ~reveal:`Patch_root
-
-let adversary_biased_hash =
-  cheat ~name:"adversary:biased-hash" ~commit:`Always_identity ~reveal:`Honest
-
 let run_single ?fault ?params ~seed inst prover =
   Gs.run_single ~span:"gni.run_single" ?fault ?params ~seed inst.core prover
 

@@ -76,22 +76,11 @@ val yes_rate_bound : params -> float
 val no_rate_bound : params -> float
 (** The analytical upper bound for NO instances ([n!/q]). *)
 
-type prover
+type prover = Gs.prover
 
 val prover_name : prover -> string
 
 val honest : prover
-
-val adversary_forge_aggregates : prover
-(** On repetitions with no genuine preimage, claims one anyway and forges
-    the root's aggregate so the target equation passes; the root's own
-    aggregation check then fails, so the forged repetitions never count. *)
-
-val adversary_biased_hash : prover
-(** Never admits a miss: always commits to [(identity, g0)] and reveals
-    honestly for that commitment, betting on the identity hash landing on
-    the target — a per-repetition hit rate of about [1/q], far below the
-    honest rate, so the amplified protocol rejects it. *)
 
 (** {1 Parameterized cheats (the E17 strategy space)} *)
 
@@ -103,8 +92,9 @@ type commit_mode =
         already ruled the table out, so the rate equals [`Search]'s. The
         [int] seeds the random table, keeping the cheat replayable. *)
   | `Always_identity
-    (** Skip the search entirely and always commit to [(identity, g0)] —
-        {!adversary_biased_hash}'s bet, winning with probability ~[1/q]. *)
+    (** Skip the search entirely and always commit to [(identity, g0)],
+        betting on the identity hash landing on the target — winning with
+        probability ~[1/q]. *)
   ]
 
 type reveal_mode =
@@ -115,10 +105,8 @@ type reveal_mode =
   ]
 
 val cheat : name:string -> commit:commit_mode -> reveal:reveal_mode -> prover
-(** Compose a cheating prover from the two knobs above. The registry
-    adversaries are instances: {!adversary_forge_aggregates} is
-    [`Deny (`Random 99)] + [`Patch_root], {!adversary_biased_hash} is
-    [`Always_identity] + [`Honest]. *)
+(** Compose a cheating prover from the two knobs above ({!Strategy}'s gni
+    axes). *)
 
 val run_single :
   ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t

@@ -194,9 +194,7 @@ let sym_dmam_prover t =
     let n = Graph.n g in
     match perm with
     | 0 -> Sym_dmam.fallback_rho g
-    | 1 ->
-      (* At seed 0 this is exactly the registry random-perm draw. *)
-      Perm.random_nonidentity (Rng.create (Hashtbl.hash (Graph.encode g) + t.seed)) n
+    | 1 -> Perm.random_nonidentity (Rng.create (Hashtbl.hash (Graph.encode g) + t.seed)) n
     | 2 -> Perm.identity n
     | _ -> Perm.of_array (Array.init n (fun i -> (i + 1) mod n))
   in
@@ -232,7 +230,6 @@ let sym_dam_prover t =
         let table =
           match perm with
           | 0 ->
-            (* At seed 0 this is exactly the registry collision search. *)
             Sym_dam.search_table
               ~seed:((Hashtbl.hash (Graph.encode g) lxor 0x9e1) + t.seed)
               params g challenges
@@ -277,13 +274,74 @@ let gni_prover t =
     match t.point.(0) with
     | 0 -> `Search
     | 1 -> `Deny `Identity
-    | 2 ->
-      (* At seed 0 this is exactly the registry forge-aggregates table. *)
-      `Deny (`Random (99 + t.seed))
+    | 2 -> `Deny (`Random (99 + t.seed))
     | _ -> `Always_identity
   in
   let reveal = if t.point.(1) = 0 then `Honest else `Patch_root in
   Gni.cheat ~name:(encode t) ~commit ~reveal
+
+(* --- the named registry --------------------------------------------------------- *)
+
+(* Every named cheater is one seed-0, fault=none grid point, given by its
+   encoding; the comment above each entry is why it loses. *)
+let registry_table = function
+  | Sym_dmam ->
+    [ (* A random non-identity rho played consistently: on an asymmetric graph
+         it wins only on a hash collision, probability at most (n^2+n)/p. *)
+      ( "random-perm",
+        "strategy v1 sym_dmam seed=0 perm=random split=none sums=consistent echo=root fault=none" );
+      (* Forces the root comparison a_r = b_r; the root's own Line-3 equation
+         for b then fails, so it wins only where the forgery is a no-op — on
+         the same rho's hash collisions as random-perm. *)
+      ( "forged-sums",
+        "strategy v1 sym_dmam seed=0 perm=random split=none sums=forge-root-b echo=root fault=none" );
+      (* The identity: the root's rho_r <> r check rejects it. *)
+      ( "identity",
+        "strategy v1 sym_dmam seed=0 perm=identity split=none sums=consistent echo=root fault=none" );
+      (* Sends vertex 0 a different broadcast root than everyone else; the
+         neighbor-comparison check rejects it. *)
+      ( "split-broadcast",
+        "strategy v1 sym_dmam seed=0 perm=random split=root sums=consistent echo=root fault=none" )
+    ]
+  | Sym_dam ->
+    [ (* Searches transpositions and random permutations for a mapping that
+         collides under the revealed index; on asymmetric graphs Theorem 3.5's
+         union bound caps it near n^2 (n^2+n)/p. *)
+      ("search", "strategy v1 sym_dam seed=0 perm=search sums=consistent echo=root fault=none");
+      (* Ignores the challenge and bets on one random non-identity rho. *)
+      ("random-perm", "strategy v1 sym_dam seed=0 perm=random sums=consistent echo=root fault=none")
+    ]
+  | Dsym ->
+    [ (* The honest moves on a NO instance: wins exactly when the hash collides
+         although sigma is no automorphism, at most (N^2+N)/p (Theorem 3.2) —
+         optimal against structurally valid NO instances, since every other
+         check is deterministic. *)
+      ( "consistent",
+        "strategy v1 dsym seed=0 perm=sigma root=zero sums=consistent echo=root fault=none" );
+      (* Aggregates b under sigma composed with (0 1); the verifiers recompute
+         their b-terms from the true sigma, so it is rejected with probability
+         1, even on YES instances. *)
+      ( "wrong-permutation",
+        "strategy v1 dsym seed=0 perm=swapped root=zero sums=consistent echo=root fault=none" )
+    ]
+  | Gni ->
+    [ (* Claims a preimage after a miss and patches the root's aggregate so the
+         target equation passes; the root's own aggregation check then fails,
+         so forged repetitions never count. *)
+      ("forge-aggregates", "strategy v1 gni seed=0 commit=deny-random reveal=patch-root fault=none");
+      (* Never searches: always commits to (identity, g0) and reveals honestly,
+         betting on the identity hash landing on the target — about 1/q per
+         repetition, far below the honest rate. *)
+      ("biased-hash", "strategy v1 gni seed=0 commit=identity-always reveal=honest fault=none")
+    ]
+
+let registry p =
+  List.map
+    (fun (name, line) ->
+      match decode line with
+      | Ok t when t.protocol = p -> (name, t)
+      | Ok _ | Error _ -> invalid_arg ("Strategy.registry: bad entry " ^ line))
+    (registry_table p)
 
 (* --- frontier cases ----------------------------------------------------------- *)
 
@@ -303,27 +361,27 @@ type frontier_case = {
    property of one instance, so every process measures the same curves and
    the tier-1 pins can assert exact acceptance counts. *)
 let frontier_cases () =
-  let trial_of = Stats.trial_of_outcome in
+  let case protocol ~n ~bound ~bound_label run =
+    let strategy_of pt = make protocol ~seed:0 pt in
+    let trial pt seed = Stats.trial_of_outcome (run (strategy_of pt) seed) in
+    { protocol;
+      label = protocol_label protocol;
+      n;
+      space = space protocol;
+      bound;
+      bound_label;
+      strategy_of;
+      trial;
+      registry = List.map (fun (name, s) -> (name, trial s.point)) (registry protocol)
+    }
+  in
   let sym_dmam_case =
     let g = Family.random_asymmetric (Rng.create 21) 8 in
     let params = Sym_dmam.params_for ~seed:3 g in
-    let strategy_of pt = make Sym_dmam ~seed:0 pt in
-    { protocol = Sym_dmam;
-      label = "sym_dmam";
-      n = 8;
-      space = space Sym_dmam;
-      bound = float_of_int ((8 * 8) + 8) /. float_of_int params.Sym_dmam.p;
-      bound_label = "(n^2+n)/p";
-      strategy_of;
-      trial =
-        (fun pt seed ->
-          let s = strategy_of pt in
-          trial_of (Sym_dmam.run ?fault:(fault_param s) ~params ~seed g (sym_dmam_prover s)));
-      registry =
-        List.map
-          (fun (name, p) -> (name, fun seed -> trial_of (Sym_dmam.run ~params ~seed g p)))
-          Adversary.sym_dmam
-    }
+    case Sym_dmam ~n:8
+      ~bound:(float_of_int ((8 * 8) + 8) /. float_of_int params.Sym_dmam.p)
+      ~bound_label:"(n^2+n)/p"
+      (fun s seed -> Sym_dmam.run ?fault:(fault_param s) ~params ~seed g (sym_dmam_prover s))
   in
   let sym_dam_case =
     let g = Family.random_asymmetric (Rng.create 22) 6 in
@@ -333,23 +391,10 @@ let frontier_cases () =
       | Some p -> float_of_int p
       | None -> Float.infinity
     in
-    let strategy_of pt = make Sym_dam ~seed:0 pt in
-    { protocol = Sym_dam;
-      label = "sym_dam";
-      n = 6;
-      space = space Sym_dam;
-      bound = (6. ** 6.) *. float_of_int ((6 * 6) + 6) /. p_float;
-      bound_label = "n^n (n^2+n)/p";
-      strategy_of;
-      trial =
-        (fun pt seed ->
-          let s = strategy_of pt in
-          trial_of (Sym_dam.run ?fault:(fault_param s) ~params ~seed g (sym_dam_prover s)));
-      registry =
-        List.map
-          (fun (name, p) -> (name, fun seed -> trial_of (Sym_dam.run ~params ~seed g p)))
-          Adversary.sym_dam
-    }
+    case Sym_dam ~n:6
+      ~bound:((6. ** 6.) *. float_of_int ((6 * 6) + 6) /. p_float)
+      ~bound_label:"n^n (n^2+n)/p"
+      (fun s seed -> Sym_dam.run ?fault:(fault_param s) ~params ~seed g (sym_dam_prover s))
   in
   let dsym_case =
     let side = 6 and r = 1 in
@@ -357,43 +402,15 @@ let frontier_cases () =
     let inst = Dsym.make_instance ~n:side ~r (Family.dsym_perturbed (Rng.create 24) core r) in
     let params = Dsym.params_for ~seed:3 inst in
     let size = (2 * side) + (2 * r) + 1 in
-    let strategy_of pt = make Dsym ~seed:0 pt in
-    { protocol = Dsym;
-      label = "dsym";
-      n = size;
-      space = space Dsym;
-      bound = float_of_int ((size * size) + size) /. float_of_int params.Dsym.p;
-      bound_label = "(N^2+N)/p";
-      strategy_of;
-      trial =
-        (fun pt seed ->
-          let s = strategy_of pt in
-          trial_of (Dsym.run ?fault:(fault_param s) ~params ~seed inst (dsym_prover s)));
-      registry =
-        List.map
-          (fun (name, p) -> (name, fun seed -> trial_of (Dsym.run ~params ~seed inst p)))
-          Adversary.dsym
-    }
+    case Dsym ~n:size
+      ~bound:(float_of_int ((size * size) + size) /. float_of_int params.Dsym.p)
+      ~bound_label:"(N^2+N)/p"
+      (fun s seed -> Dsym.run ?fault:(fault_param s) ~params ~seed inst (dsym_prover s))
   in
   let gni_case =
     let inst = Gni.no_instance (Rng.create 25) 6 in
     let params = Gni.params_for ~seed:3 inst in
-    let strategy_of pt = make Gni ~seed:0 pt in
-    { protocol = Gni;
-      label = "gni";
-      n = 6;
-      space = space Gni;
-      bound = Gni.no_rate_bound params;
-      bound_label = "n!/q";
-      strategy_of;
-      trial =
-        (fun pt seed ->
-          let s = strategy_of pt in
-          trial_of (Gni.run_single ?fault:(fault_param s) ~params ~seed inst (gni_prover s)));
-      registry =
-        List.map
-          (fun (name, p) -> (name, fun seed -> trial_of (Gni.run_single ~params ~seed inst p)))
-          Adversary.gni
-    }
+    case Gni ~n:6 ~bound:(Gni.no_rate_bound params) ~bound_label:"n!/q"
+      (fun s seed -> Gni.run_single ?fault:(fault_param s) ~params ~seed inst (gni_prover s))
   in
   [ sym_dmam_case; sym_dam_case; dsym_case; gni_case ]

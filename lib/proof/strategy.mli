@@ -1,16 +1,16 @@
 (** The declarative cheat-strategy space behind the E17 soundness frontier.
 
     The soundness theorems quantify over {e every} cheating prover; the
-    registry ({!Adversary}) samples that space at a handful of hand-written
-    points. This module turns the space itself into a value: per protocol, a
-    small grid of typed axes — permutation perturbations, per-round response
-    distortions (forged or offset sums, a skewed challenge echo), broadcast
-    equivocation, and a fault-model knob — whose points
-    {!Ids_engine.Search} can climb. A strategy is a replayable value: the
-    protocol, a seed, and one level per axis, with a textual codec
-    ({!encode} / {!decode}) so best-found strategies can be pinned in tests
-    and serialized into {!Ids_engine.Runlog} prover labels (the provers
-    built here carry their encoding as their name).
+    named registry ({!registry}, served by {!Adversary}) samples that space
+    at a handful of points. This module turns the space itself into a
+    value: per protocol, a small grid of typed axes — permutation
+    perturbations, per-round response distortions (forged or offset sums,
+    a skewed challenge echo), broadcast equivocation, and a fault-model
+    knob — whose points {!Ids_engine.Search} can climb. A strategy is a
+    replayable value: the protocol, a seed, and one level per axis, with a
+    textual codec ({!encode} / {!decode}) so best-found strategies can be
+    pinned in tests and serialized into {!Ids_engine.Runlog} prover labels
+    (the provers built here carry their encoding as their name).
 
     {2 Axes}
 
@@ -29,9 +29,8 @@
     - [gni] — [commit] (search | deny-identity | deny-random |
       identity-always), [reveal] (honest | patch-root).
 
-    At [seed = 0] the graph-keyed random levels coincide exactly with the
-    registry adversaries' draws, so every registry cheater (under no
-    faults) is a point of the grid and the search dominates the registry by
+    Every registry cheater is defined as a [seed = 0], [fault = none] point
+    of this grid and nowhere else, so the search dominates the registry by
     construction. *)
 
 type protocol = Sym_dmam | Sym_dam | Dsym | Gni
@@ -88,6 +87,14 @@ val sym_dam_prover : t -> Sym_dam.prover
 val dsym_prover : t -> Dsym.prover
 val gni_prover : t -> Gni.prover
 
+(** {1 The named registry} *)
+
+val registry : protocol -> (string * t) list
+(** The named cheaters of a protocol, in registry order, each a
+    [seed = 0], [fault = none] point (e.g. sym_dmam's forged-sums is
+    [perm=random split=none sums=forge-root-b echo=root]). {!Adversary}
+    serves them as provers named ["adversary:<name>"]. *)
+
 (** {1 Frontier cases (E17)} *)
 
 type frontier_case = {
@@ -104,8 +111,8 @@ type frontier_case = {
           fault level) — pure in [(point, seed)], so searches are
           bit-identical across [IDS_DOMAINS]. *)
   registry : (string * (int -> Ids_engine.Accum.trial)) list;
-      (** The hand-written registry cheaters on the same instance and
-          parameters, for the frontier comparison. *)
+      (** {!registry}'s cheaters on the same instance and parameters — the
+          [trial]s of their points — for the frontier comparison. *)
 }
 
 val frontier_cases : unit -> frontier_case list

@@ -113,7 +113,7 @@ let run_body ?fault ?params ~seed g prover =
 let run ?fault ?params ~seed g prover =
   Ids_obs.Obs.span "sym_dam.run" (fun () -> run_body ?fault ?params ~seed g prover)
 
-(* --- adversaries ------------------------------------------------------------ *)
+(* --- collision search ------------------------------------------------------- *)
 
 let collides params g table tabs =
   let f = params.field in
@@ -152,20 +152,3 @@ let search_table ?(extra = 20) ~seed params g challenges =
     collides params g table (tables_of challenges.(moved 0))
   in
   match List.find_opt winning candidates with Some t -> t | None -> fallback_table n
-
-let adversary_search =
-  { name = "adversary:search";
-    respond =
-      (fun params g challenges ->
-        let seed = Hashtbl.hash (Graph.encode g) lxor 0x9e1 in
-        respond_with_rho params g challenges (search_table ~seed params g challenges))
-  }
-
-let adversary_random_perm =
-  { name = "adversary:random-perm";
-    respond =
-      (fun params g challenges ->
-        let rng = Rng.create (Hashtbl.hash (Graph.encode g) lxor 0x77) in
-        let table = Perm.to_array (Perm.random_nonidentity rng (Graph.n g)) in
-        respond_with_rho params g challenges table)
-  }

@@ -48,8 +48,8 @@ val honest : prover
 
 (** {1 Strategy building blocks}
 
-    Exposed so the E17 strategy space ({!Strategy}) can compose cheats from
-    the same pieces the registry adversaries use. *)
+    Exposed so the E17 strategy space ({!Strategy}), whose seed-0 points
+    are the registry adversaries, can compose cheats from them. *)
 
 val respond_with_rho :
   params -> Ids_graph.Graph.t -> Ids_bignum.Nat.t array -> int array -> response
@@ -68,7 +68,7 @@ val search_table :
   Ids_graph.Graph.t ->
   Ids_bignum.Nat.t array ->
   int array
-(** The challenge-aware collision search behind {!adversary_search}: scan
+(** The challenge-aware collision search behind {!Strategy}'s [perm=search]: scan
     every transposition plus [extra] (default 20) seeded random non-identity
     permutations for a table colliding under the would-be root's revealed
     challenge; fall back to {!fallback_table} when none collides. *)
@@ -78,16 +78,3 @@ val run :
 (** One execution. [fault] injects faults into every channel round (see
     {!Ids_network.Fault}); omitted or {!Ids_network.Fault.none} is the exact
     un-faulted path. *)
-
-(** {1 Adversaries} *)
-
-val adversary_search : prover
-(** The strongest cheat we implement: after seeing the root candidates'
-    challenges, searches transpositions and random permutations for a
-    mapping colliding under the revealed index, and plays it consistently
-    if found. On asymmetric graphs its success probability is bounded by
-    the union-bound analysis of Theorem 3.5 (about [n^2 (n^2+n) / p],
-    astronomically small). *)
-
-val adversary_random_perm : prover
-(** Ignores the challenge and plays a random non-identity permutation. *)

@@ -124,53 +124,6 @@ let run_body ?fault ?params ~seed g prover =
 let run ?fault ?params ~seed g prover =
   Ids_obs.Obs.span "sym_dmam.run" (fun () -> run_body ?fault ?params ~seed g prover)
 
-(* --- adversaries ------------------------------------------------------------ *)
-
-let adversary_random_perm =
-  { name = "adversary:random-perm";
-    commit =
-      (fun _params g ->
-        let rng = Rng.create (Hashtbl.hash (Graph.encode g)) in
-        commit_with_rho g (Perm.random_nonidentity rng (Graph.n g)));
-    respond = respond_consistently
-  }
-
-let adversary_forged_sums =
-  { name = "adversary:forged-sums";
-    commit =
-      (fun _params g ->
-        let rng = Rng.create (Hashtbl.hash (Graph.encode g) lxor 0xf00) in
-        commit_with_rho g (Perm.random_nonidentity rng (Graph.n g)));
-    respond =
-      (fun params g c challenges ->
-        let r = respond_consistently params g c challenges in
-        (* Force the root comparison to pass; the root's own Line-3 equation
-           for b then fails. *)
-        let root = c.root.(0) in
-        let b = Array.copy r.b in
-        b.(root) <- r.a.(root);
-        { r with b })
-  }
-
-let adversary_identity =
-  { name = "adversary:identity";
-    commit = (fun _params g -> commit_with_rho g (Perm.identity (Graph.n g)));
-    respond = respond_consistently
-  }
-
-let adversary_split_broadcast =
-  { name = "adversary:split-broadcast";
-    commit =
-      (fun _params g ->
-        let rng = Rng.create (Hashtbl.hash (Graph.encode g) lxor 0xabc) in
-        let c = commit_with_rho g (Perm.random_nonidentity rng (Graph.n g)) in
-        (* Claim a different root to vertex 0 than to everyone else. *)
-        let root = Array.copy c.root in
-        root.(0) <- (if root.(0) = 0 then 1 else 0);
-        { c with root })
-  ; respond = respond_consistently
-  }
-
 (* --- analysis ---------------------------------------------------------------- *)
 
 (* Collision counts of every candidate over the whole family. The tables

@@ -60,8 +60,8 @@ val honest : prover
 
 (** {1 Strategy building blocks}
 
-    Exposed so the E17 strategy space ({!Strategy}) can compose cheats from
-    the same pieces the registry adversaries use. *)
+    Exposed so the E17 strategy space ({!Strategy}), whose seed-0 points
+    are the registry adversaries, can compose cheats from them. *)
 
 val commit_with_rho : Ids_graph.Graph.t -> Ids_graph.Perm.t -> commitment
 (** A well-formed commitment to the given permutation: a spanning tree
@@ -83,24 +83,7 @@ val run :
     (see {!Ids_network.Fault}); omitted or {!Ids_network.Fault.none} is the
     exact un-faulted path. *)
 
-(** {1 Adversaries and analysis} *)
-
-val adversary_random_perm : prover
-(** Commits to a uniformly random non-identity permutation and otherwise
-    plays consistently; on an asymmetric graph it wins only on a hash
-    collision, i.e. with probability at most [(n^2+n)/p < 1/(9n)]. *)
-
-val adversary_forged_sums : prover
-(** Plays consistent [a]-sums but forges the [b]-sums so that the root
-    comparison [a_r = b_r] passes; some node's Line-3 equation must then
-    fail, so this adversary always loses. *)
-
-val adversary_identity : prover
-(** Commits to the identity; the root's [rho_r <> r] check rejects it. *)
-
-val adversary_split_broadcast : prover
-(** Sends different "broadcast" roots to the two endpoints of some edge;
-    the neighbor-comparison check rejects it. *)
+(** {1 Analysis} *)
 
 val acceptance_probability_exact : params -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> float
 (** Exact probability (over the hash index) that the consistent prover

@@ -69,7 +69,7 @@ let test_protocol_determinism_across_domains () =
       let shim = Stats.acceptance ~trials:60 run in
       Alcotest.(check bool) (name ^ " shim agrees") true
         (shim = Stats.of_engine reference))
-    [ ("yes", g, Sym_dmam.honest); ("no", a, Sym_dmam.adversary_random_perm) ]
+    [ ("yes", g, Sym_dmam.honest); ("no", a, List.assoc "random-perm" Adversary.sym_dmam) ]
 
 let test_shim_matches_sequential_loop () =
   (* Stats.acceptance must reproduce the historical sequential for-loop. *)

@@ -283,9 +283,8 @@ let test_amplify_protocol_end_to_end () =
   let rng = Rng.create 214 in
   let yes_g = Family.random_symmetric rng 10 and no_g = Family.random_asymmetric rng 10 in
   let yes = Amplify.majority ~trials:9 (fun seed -> Sym_dmam.run ~seed yes_g Sym_dmam.honest) in
-  let no =
-    Amplify.majority ~trials:9 (fun seed -> Sym_dmam.run ~seed no_g Sym_dmam.adversary_random_perm)
-  in
+  let cheat = List.assoc "random-perm" Adversary.sym_dmam in
+  let no = Amplify.majority ~trials:9 (fun seed -> Sym_dmam.run ~seed no_g cheat) in
   Alcotest.(check bool) "YES amplified accept" true yes.Amplify.outcome.Outcome.accepted;
   Alcotest.(check bool) "NO amplified reject" false no.Amplify.outcome.Outcome.accepted
 

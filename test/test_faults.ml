@@ -501,7 +501,7 @@ let test_wrong_permutation_rejected () =
   let inst = Dsym.make_instance ~n:8 ~r:2 (Family.dsym_graph core 2) in
   for seed = 1 to 10 do
     Alcotest.(check bool) "wrong permutation rejected" false
-      (Dsym.run ~seed inst Dsym.adversary_wrong_permutation).Outcome.accepted
+      (Dsym.run ~seed inst (List.assoc "wrong-permutation" Adversary.dsym)).Outcome.accepted
   done
 
 let test_pls_off_by_one_rejected () =

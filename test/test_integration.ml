@@ -59,7 +59,7 @@ let test_cost_independent_of_prover () =
   let rng = Rng.create 401 in
   let g = Family.random_asymmetric rng 12 in
   let honest = Sym_dmam.run ~seed:5 g Sym_dmam.honest in
-  let cheat = Sym_dmam.run ~seed:5 g Sym_dmam.adversary_random_perm in
+  let cheat = Sym_dmam.run ~seed:5 g (List.assoc "random-perm" Adversary.sym_dmam) in
   Alcotest.(check int) "same bits" honest.Outcome.max_bits_per_node cheat.Outcome.max_bits_per_node;
   Alcotest.(check int) "same total" honest.Outcome.total_bits cheat.Outcome.total_bits
 
@@ -127,7 +127,7 @@ let test_amplified_batch_decision () =
   for _ = 1 to 6 do
     let symmetric = Rng.bool rng in
     let g = if symmetric then Family.random_symmetric rng 10 else Family.random_asymmetric rng 10 in
-    let prover = if symmetric then Sym_dmam.honest else Sym_dmam.adversary_random_perm in
+    let prover = if symmetric then Sym_dmam.honest else List.assoc "random-perm" Adversary.sym_dmam in
     let r = Amplify.majority ~trials:7 (fun seed -> Sym_dmam.run ~seed g prover) in
     Alcotest.(check bool) "verdict matches truth" symmetric r.Amplify.outcome.Outcome.accepted
   done

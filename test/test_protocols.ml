@@ -175,7 +175,7 @@ let test_dsym_soundness_on_perturbed () =
   let rejected = ref 0 in
   for seed = 1 to 40 do
     let bad = Dsym.make_instance ~n:6 ~r:2 (Family.dsym_perturbed rng f 2) in
-    if not (accepted (Dsym.run ~seed bad Dsym.adversary_consistent)) then incr rejected
+    if not (accepted (Dsym.run ~seed bad (List.assoc "consistent" Adversary.dsym))) then incr rejected
   done;
   Alcotest.(check bool) (Printf.sprintf "rejected %d/40" !rejected) true (!rejected >= 38)
 
@@ -190,7 +190,7 @@ let test_dsym_soundness_structural () =
   (* keep it connected so the tree exists *)
   let inst = Dsym.make_instance ~n:6 ~r:2 g in
   Alcotest.(check bool) "structure violation rejected" false
-    (accepted (Dsym.run ~seed:1 inst Dsym.adversary_consistent))
+    (accepted (Dsym.run ~seed:1 inst (List.assoc "consistent" Adversary.dsym)))
 
 let test_dsym_cost_logarithmic () =
   let rng = Rng.create 123 in
@@ -324,8 +324,9 @@ let test_gni_forging_adversary_blocked () =
   (* The forging adversary turns misses into claimed hits; the root's own
      aggregation check must catch every forged repetition, so its hit rate
      cannot exceed the honest one. *)
+  let forge = List.assoc "forge-aggregates" Adversary.gni in
   let est_forge =
-    Stats.acceptance ~trials:(strials 120) (fun seed -> Gni.run_single ~params ~seed no Gni.adversary_forge_aggregates)
+    Stats.acceptance ~trials:(strials 120) (fun seed -> Gni.run_single ~params ~seed no forge)
   in
   let est_honest =
     Stats.acceptance ~trials:(strials 120) (fun seed -> Gni.run_single ~params ~seed no Gni.honest)

@@ -285,13 +285,13 @@ let response_digest protocol instance prover seed =
   | "sym_dmam" ->
     let g = List.assoc instance dmam_graphs in
     let params = Sym_dmam.params_for ~seed g in
-    let p = List.assoc prover [ ("honest", Sym_dmam.honest); ("random-perm", Sym_dmam.adversary_random_perm) ] in
+    let p = List.assoc prover (("honest", Sym_dmam.honest) :: Adversary.sym_dmam) in
     let ch = challenges params.Sym_dmam.field ~seed (Graph.n g) in
     let r = p.Sym_dmam.respond params g (p.Sym_dmam.commit params g) ch in
     digest string_of_int [ r.Sym_dmam.a; r.Sym_dmam.b ]
   | "dsym" ->
     let params = Dsym.params_for ~seed dsym_yes in
-    let p = List.assoc prover [ ("honest", Dsym.honest); ("wrong-permutation", Dsym.adversary_wrong_permutation) ] in
+    let p = List.assoc prover (("honest", Dsym.honest) :: Adversary.dsym) in
     let r = p.Dsym.respond params dsym_yes (challenges params.Dsym.field ~seed (Graph.n dsym_yes.Dsym.graph)) in
     digest string_of_int [ r.Dsym.a; r.Dsym.b ]
   | "sym_dam" ->
@@ -365,7 +365,7 @@ let test_search_pins () =
       Alcotest.(check bool)
         (Printf.sprintf "%s p=%d seed=%d search verdict" instance p seed)
         accepted
-        (Sym_dam.run ~params ~seed g Sym_dam.adversary_search).Outcome.accepted)
+        (Sym_dam.run ~params ~seed g (List.assoc "search" Adversary.sym_dam)).Outcome.accepted)
     tiny_search_pins
 
 (* (instance, exact acceptance of the transposition (0 1) at seed 1's prime) *)

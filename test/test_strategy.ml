@@ -1,12 +1,19 @@
 (* Tests for the E17 adversary-search layer: qcheck round-trips and
-   line-carrying rejections for the strategy codec, bit-identical searches
-   across worker domains and tracing, search-dominates-registry on every
-   protocol, and the frontier pins that freeze each protocol's best-found
-   strategy (encoding + acceptance estimate) as a regression oracle. *)
+   line-carrying rejections for the strategy codec, the named registry as
+   seed-0 grid points, bit-identical searches across worker domains and
+   tracing, search-dominates-registry on every protocol, and the frontier
+   pins that freeze each protocol's best-found strategy (encoding +
+   acceptance estimate) as a regression oracle. *)
 
 module Search = Ids_engine.Search
 module Engine = Ids_engine.Engine
 module Obs = Ids_obs.Obs
+module Graph = Ids_graph.Graph
+module Family = Ids_graph.Family
+module Rng = Ids_bignum.Rng
+module Nat = Ids_bignum.Nat
+module Field = Ids_hash.Field
+module Api = Ids_hash.Api
 open Ids_proof
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -86,6 +93,99 @@ let test_make_validates () =
     [ ("wrong arity", fun () -> Strategy.make Strategy.Sym_dmam ~seed:0 [| 0; 0 |]);
       ("level out of range", fun () -> Strategy.make Strategy.Gni ~seed:0 [| 9; 0; 0 |]);
       ("negative level", fun () -> Strategy.make Strategy.Dsym ~seed:0 [| 0; -1; 0; 0; 0 |]) ]
+
+(* --- the named registry ------------------------------------------------------------ *)
+
+(* Per-node challenges drawn from the seed alone, like Arthur's. *)
+let draws (f : _ Field.t) ~seed n = Array.init n (fun v -> f.Field.random (Rng.create ((seed * 100) + v)))
+
+let nats_equal x y = Array.length x = Array.length y && Array.for_all2 Nat.equal x y
+
+(* [same_play p name t seed]: on [p]'s frontier instance (rebuilt from the
+   seeds [Strategy.frontier_cases] uses), the registry prover [name] and
+   the grid point [t]'s prover make identical moves under [seed]'s
+   challenges, and the registry prover is named ["adversary:<name>"]. *)
+let same_play protocol name t seed =
+  let label = "adversary:" ^ name in
+  match protocol with
+  | Strategy.Sym_dmam ->
+    let g = Family.random_asymmetric (Rng.create 21) 8 in
+    let params = Sym_dmam.params_for ~seed:3 g in
+    let alias = List.assoc name Adversary.sym_dmam and grid = Strategy.sym_dmam_prover t in
+    let ca = alias.Sym_dmam.commit params g and cg = grid.Sym_dmam.commit params g in
+    let ch = draws params.Sym_dmam.field ~seed (Graph.n g) in
+    alias.Sym_dmam.name = label
+    && ca.Sym_dmam.rho = cg.Sym_dmam.rho
+    && ca = cg
+    && alias.Sym_dmam.respond params g ca ch = grid.Sym_dmam.respond params g cg ch
+  | Strategy.Sym_dam ->
+    let g = Family.random_asymmetric (Rng.create 22) 6 in
+    let params = Sym_dam.params_for ~seed:3 g in
+    let alias = List.assoc name Adversary.sym_dam and grid = Strategy.sym_dam_prover t in
+    let ch = draws params.Sym_dam.field ~seed (Graph.n g) in
+    let ra = alias.Sym_dam.respond params g ch and rg = grid.Sym_dam.respond params g ch in
+    alias.Sym_dam.name = label
+    && ra.Sym_dam.rho = rg.Sym_dam.rho
+    && (ra.Sym_dam.root, ra.Sym_dam.parent, ra.Sym_dam.dist)
+       = (rg.Sym_dam.root, rg.Sym_dam.parent, rg.Sym_dam.dist)
+    && nats_equal ra.Sym_dam.index rg.Sym_dam.index
+    && nats_equal ra.Sym_dam.a rg.Sym_dam.a
+    && nats_equal ra.Sym_dam.b rg.Sym_dam.b
+  | Strategy.Dsym ->
+    let core = Family.random_asymmetric (Rng.create 23) 6 in
+    let inst = Dsym.make_instance ~n:6 ~r:1 (Family.dsym_perturbed (Rng.create 24) core 1) in
+    let params = Dsym.params_for ~seed:3 inst in
+    let alias = List.assoc name Adversary.dsym and grid = Strategy.dsym_prover t in
+    let ch = draws params.Dsym.field ~seed (Graph.n inst.Dsym.graph) in
+    alias.Dsym.name = label && alias.Dsym.respond params inst ch = grid.Dsym.respond params inst ch
+  | Strategy.Gni ->
+    let inst = Gni.no_instance (Rng.create 25) 6 in
+    let params = Gni.params_for ~seed:3 inst in
+    let alias = List.assoc name Adversary.gni and grid = Strategy.gni_prover t in
+    let f = params.Gs.field and n = Graph.n (Gs.graph inst.Gni.core) in
+    let rng = Rng.create seed in
+    let specs = Array.init n (fun _ -> Api.random_spec f ~k:params.Gs.copies rng) in
+    let ch = { Gs.specs; targets = Array.init n (fun _ -> f.Field.random rng) } in
+    let audit = Array.init n (fun _ -> f.Field.random rng) in
+    let ca = alias.Gs.commit params inst.Gni.core ch and cg = grid.Gs.commit params inst.Gni.core ch in
+    Gni.prover_name alias = label
+    && ca = cg
+    && alias.Gs.reveal params inst.Gni.core ch ca audit = grid.Gs.reveal params inst.Gni.core ch cg audit
+
+let test_registry_is_grid_points () =
+  List.iter
+    (fun p ->
+      let registry = Strategy.registry p in
+      let names = List.map fst registry in
+      let label = Strategy.protocol_label p in
+      Alcotest.(check int) (label ^ ": registry names are unique")
+        (List.length names)
+        (List.length (List.sort_uniq compare names));
+      let served =
+        match p with
+        | Strategy.Sym_dmam -> Adversary.names Adversary.sym_dmam
+        | Strategy.Sym_dam -> Adversary.names Adversary.sym_dam
+        | Strategy.Dsym -> Adversary.names Adversary.dsym
+        | Strategy.Gni -> Adversary.names Adversary.gni
+      in
+      Alcotest.(check (list string)) (label ^ ": Adversary serves the registry") names served;
+      List.iter
+        (fun (name, s) ->
+          let encoding = Strategy.encode s in
+          match Strategy.decode encoding with
+          | Error e -> Alcotest.failf "%s/%s: %s" label name e
+          | Ok t ->
+            Alcotest.(check int) (encoding ^ ": seed 0") 0 t.Strategy.seed;
+            Alcotest.(check int) (encoding ^ ": fault=none") 0
+              t.Strategy.point.(Strategy.fault_axis p);
+            List.iter
+              (fun seed ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s/%s plays %s at seed %d" label name encoding seed)
+                  true (same_play p name t seed))
+              [ 0; 1; 2 ])
+        registry)
+    protocols
 
 (* --- search determinism -------------------------------------------------------- *)
 
@@ -172,8 +272,8 @@ let test_frontier_pins_and_domination () =
       Alcotest.(check int) (label ^ ": full evaluation") 32 best.Search.estimate.Engine.trials;
       Alcotest.(check bool) (label ^ ": best not screened") false best.Search.screened;
       (* The acceptance criterion: the search must find a strategy at least
-         as strong as every hand-written registry cheater. At seed 0 the
-         registry points are grid points, so this holds deterministically. *)
+         as strong as every registry cheater. The registry entries are
+         seed-0 grid points, so this holds deterministically. *)
       List.iter
         (fun (name, trial) ->
           let e = Engine.run ~trials:32 trial in
@@ -207,7 +307,9 @@ let suite =
       [ qtest prop_codec_roundtrip;
         qtest prop_encode_injective;
         Alcotest.test_case "rejections carry token and line" `Quick test_codec_rejections;
-        Alcotest.test_case "make validates arity and range" `Quick test_make_validates
+        Alcotest.test_case "make validates arity and range" `Quick test_make_validates;
+        Alcotest.test_case "registry entries are seed-0 grid points" `Quick
+          test_registry_is_grid_points
       ] );
     ( "strategy-search",
       [ Alcotest.test_case "bit-identical across domains" `Quick
